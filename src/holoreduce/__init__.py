@@ -22,8 +22,6 @@ from .operators import (
     DegreeProfile,
     ShiftOperator,
     SummableBounds,
-    adjoint_apply,
-    certificate_polys,
     degree_law_check,
     degree_profile,
     gcd_condition,
@@ -75,6 +73,10 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+# Function-style spellings of the ShiftOperator methods: f(op, x).
+adjoint_apply = ShiftOperator.adjoint_apply
+certificate_polys = ShiftOperator.certificate
 
 
 def fixtures_dir():

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .errors import NegativeShiftPower, ParseError, ZeroOperator
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import Polynomial, RationalFunction, poly_gcd
 from .operators import ShiftOperator
 
 SCHEMA = "holoreduce-v1"
@@ -22,6 +22,9 @@ SCHEMA = "holoreduce-v1"
 _MAX_DEGREE = 600
 _MAX_SHIFT = 512
 _MAX_EXPONENT = 4096
+
+_ZERO = Polynomial()
+_ONE = Polynomial.constant(1)
 
 
 def _tokenize(text: str):
@@ -62,57 +65,90 @@ def _tokenize(text: str):
 
 
 class _Value:
-    """Sum of rational-function coefficients times powers of S."""
+    """Sum over k of ``parts[k] / den * S^k``: polynomial numerators over
+    one shared polynomial denominator.
 
-    __slots__ = ("parts",)
+    Nothing is reduced while parsing; the ``parse_*`` functions divide out
+    each S-power's gcd once, at the end.  The degree limit still means the
+    degree of the reduced value, so an operand whose unreduced degree
+    breaks it is reduced before the limit is decided.
+    """
 
-    def __init__(self, parts=None):
-        self.parts = {k: v for k, v in (parts or {}).items() if not v.is_zero()}
+    __slots__ = ("parts", "den")
 
-    @classmethod
-    def scalar(cls, rf):
-        return cls({0: rf})
+    def __init__(self, parts, den=_ONE):
+        self.parts = {k: v for k, v in parts.items() if v}
+        self.den = den
 
-    def max_poly_degree(self):
-        d = 0
-        for rf in self.parts.values():
-            d = max(d, int(rf.numer.degree), int(rf.denom.degree))
-        return d
+    def degree_bound(self) -> int:
+        """Largest numerator or denominator degree over the S-powers, an
+        upper bound on the reduced degree."""
+        if not self.parts:
+            return 0
+        return max(int(self.den.degree), *(int(v.degree) for v in self.parts.values()))
+
+    def reduced_degree(self) -> int:
+        """The degree the limit measures: the largest numerator or
+        denominator degree with each S-power's coefficient in lowest terms.
+        Also divides the factor all coefficients share with ``den`` out."""
+        den_deg = self.den.degree
+        if den_deg == 0 or not self.parts:
+            return self.degree_bound()
+        deg, common = 0, self.den
+        for v in self.parts.values():
+            g = poly_gcd(v, self.den)
+            deg = max(deg, int(max(v.degree, den_deg) - g.degree))
+            common = poly_gcd(common, g)
+        if common.degree > 0:
+            self.parts = {k: v.exact_div(common) for k, v in self.parts.items()}
+            self.den = self.den.exact_div(common)
+        return deg
 
     def add(self, other):
-        parts = dict(self.parts)
-        for k, v in other.parts.items():
-            parts[k] = parts.get(k, RationalFunction(0)) + v
-        return _Value(parts)
+        mine, theirs, den = self.parts, other.parts, self.den
+        if self.den != other.den:
+            mine = {k: v * other.den for k, v in mine.items()}
+            theirs = {k: v * self.den for k, v in theirs.items()}
+            den = self.den * other.den
+        parts = dict(mine)
+        for k, v in theirs.items():
+            parts[k] = parts.get(k, _ZERO) + v
+        return _Value(parts, den)
 
     def neg(self):
-        return _Value({k: -v for k, v in self.parts.items()})
+        return _Value({k: -v for k, v in self.parts.items()}, self.den)
 
     def mul(self, other, pos):
-        if self.max_poly_degree() + other.max_poly_degree() > _MAX_DEGREE:
+        if (self.degree_bound() + other.degree_bound() > _MAX_DEGREE
+                and self.reduced_degree() + other.reduced_degree() > _MAX_DEGREE):
             raise ParseError("degree limit exceeded", pos)
         parts = {}
         for i, a in self.parts.items():
             for j, b in other.parts.items():
                 if i + j > _MAX_SHIFT:
                     raise ParseError("shift power limit exceeded", pos)
-                parts[i + j] = parts.get(i + j, RationalFunction(0)) + a * b
-        return _Value(parts)
+                parts[i + j] = parts.get(i + j, _ZERO) + a * b
+        return _Value(parts, self.den * other.den)
 
     def div(self, other, pos):
         if any(k > 0 for k in other.parts):
             raise NegativeShiftPower("cannot divide by the shift symbol S")
         if not other.parts:
             raise ParseError("division by zero", pos)
-        d = other.parts[0]
-        return _Value({k: v / d for k, v in self.parts.items()})
+        num = other.parts[0]
+        if num.degree == 0:
+            scale = other.den / num.leading_coefficient
+            return _Value({k: v * scale for k, v in self.parts.items()}, self.den)
+        return _Value({k: v * other.den for k, v in self.parts.items()},
+                      self.den * num)
 
     def pow(self, e, pos):
         if e > _MAX_EXPONENT:
             raise ParseError("exponent too large", pos)
-        if self.max_poly_degree() * e > _MAX_DEGREE:
+        if (self.degree_bound() * e > _MAX_DEGREE
+                and self.reduced_degree() * e > _MAX_DEGREE):
             raise ParseError("degree limit exceeded", pos)
-        result = _Value.scalar(RationalFunction(1))
+        result = _Value({0: _ONE})
         base = self
         while e:
             if e & 1:
@@ -185,11 +221,11 @@ class _Parser:
     def atom(self) -> _Value:
         kind, val, pos = self.advance()
         if kind == "int":
-            return _Value.scalar(RationalFunction(val))
+            return _Value({0: Polynomial.constant(val)})
         if kind == "var":
-            return _Value.scalar(RationalFunction(Polynomial.variable()))
+            return _Value({0: Polynomial.variable()})
         if kind == "shift":
-            return _Value({1: RationalFunction(1)})
+            return _Value({1: _ONE})
         if kind == "(":
             value = self.expr()
             closing, _, cpos = self.advance()
@@ -211,17 +247,20 @@ def _first_shift_pos(text: str) -> int:
     return 0
 
 
+def _polynomial(num: Polynomial, den: Polynomial, message: str) -> Polynomial:
+    quo, rem = divmod(num, den)
+    if rem:
+        raise ParseError(message, 0)
+    return quo
+
+
 def parse_polynomial(text: str) -> Polynomial:
     value = _parse_value(text)
     if any(k > 0 for k in value.parts):
         raise ParseError("the shift symbol S is not allowed in a polynomial",
                          _first_shift_pos(text))
-    rf = value.parts.get(0)
-    if rf is None:
-        return Polynomial()
-    if not rf.is_polynomial():
-        raise ParseError("expression is a rational function, not a polynomial", 0)
-    return rf.as_polynomial()
+    return _polynomial(value.parts.get(0, _ZERO), value.den,
+                       "expression is a rational function, not a polynomial")
 
 
 def parse_rational_function(text: str) -> RationalFunction:
@@ -229,24 +268,18 @@ def parse_rational_function(text: str) -> RationalFunction:
     if any(k > 0 for k in value.parts):
         raise ParseError("the shift symbol S is not allowed here",
                          _first_shift_pos(text))
-    return value.parts.get(0, RationalFunction(0))
+    return RationalFunction(value.parts.get(0, _ZERO), value.den)
 
 
 def parse_operator(text: str) -> ShiftOperator:
     value = _parse_value(text)
     if not value.parts:
         raise ZeroOperator("parsed operator is zero")
-    coeffs = []
-    for i in range(max(value.parts) + 1):
-        rf = value.parts.get(i)
-        if rf is None:
-            coeffs.append(Polynomial())
-            continue
-        if not rf.is_polynomial():
-            raise ParseError(
-                f"coefficient of S^{i} is not a polynomial", 0)
-        coeffs.append(rf.as_polynomial())
-    return ShiftOperator(coeffs)
+    return ShiftOperator([
+        _polynomial(value.parts.get(i, _ZERO), value.den,
+                    f"coefficient of S^{i} is not a polynomial")
+        for i in range(max(value.parts) + 1)
+    ])
 
 
 # -- printers ---------------------------------------------------------------

@@ -165,14 +165,6 @@ class DegreeProfile:
     strongly_nondegenerated: bool
 
 
-def adjoint_apply(op: ShiftOperator, x: Polynomial) -> Polynomial:
-    return op.adjoint_apply(x)
-
-
-def certificate_polys(op: ShiftOperator, x: Polynomial) -> list:
-    return op.certificate(x)
-
-
 def degree_profile(op: ShiftOperator) -> DegreeProfile:
     """Compute deg L, d_L, the recombined b_k, f(s), R_L and C_L.
 

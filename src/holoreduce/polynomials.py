@@ -284,11 +284,15 @@ def _fraction_text(c: Fraction) -> str:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor of two polynomials over Q."""
+    """Monic greatest common divisor of two polynomials over Q.
+
+    Euclid over a primitive remainder sequence: each remainder is replaced
+    by its primitive part, which keeps the coefficients from blowing up.
+    """
     if not a and not b:
         raise BothZero("gcd(0, 0) is undefined")
     while b:
-        a, b = b, divmod(a, b)[1]
+        a, b = b, divmod(a, b)[1].rational_content()[1]
     return a.monic()
 
 

@@ -92,7 +92,12 @@ def polynomial_reduce(p: Polynomial, op: ShiftOperator) -> ReductionResult:
     """
     if op.order == 0:
         raise OrderZero("polynomial reduction needs an operator of order >= 1")
-    prof = degree_profile(op)
+    return _polynomial_reduce(p, op, degree_profile(op))
+
+
+def _polynomial_reduce(p, op: ShiftOperator, prof: DegreeProfile) -> ReductionResult:
+    """polynomial_reduce against an operator of order >= 1 whose profile
+    the caller has already computed."""
     work = p if isinstance(p, Polynomial) else Polynomial((Fraction(p),))
     kept = Polynomial()
     multiplier = Polynomial()
@@ -217,10 +222,20 @@ def rational_reduce(
     last_err = None
     for i_try in attempts:
         try:
-            return _rational_reduce_once(p, op, factor, side, i_try)
+            result = _rational_reduce_once(p, op, factor, side, i_try)
+            break
         except IrreducibleAtThisI as err:
             last_err = err
-    raise last_err
+    else:
+        raise last_err
+    base_prof = degree_profile(op)
+    if base_prof.strongly_nondegenerated:
+        bound = base_prof.deg_l + (op.order - 1) * int(factor.degree)
+        if not result.remainder_numer.degree < bound:
+            raise InternalInconsistency(
+                f"remainder degree {result.remainder_numer.degree} breaks the bound {bound}"
+            )
+    return result
 
 
 def _rational_reduce_once(p, op, factor, side, i_order):
@@ -232,20 +247,13 @@ def _rational_reduce_once(p, op, factor, side, i_order):
         derived = build_L1_upper(op, factor, i_order)
         spec = ShiftProductSpec(base=factor, direction=1, order=i_order, base_shift=-j_ord)
     q = p * sp_expand(spec)
-    red = polynomial_reduce(q, derived)
     prof = degree_profile(derived)
+    red = _polynomial_reduce(q, derived, prof)
     if prof.degenerated and red.remainder.degree >= prof.deg_l:
         raise IrreducibleAtThisI(
             f"remainder degree {red.remainder.degree} not below deg L1 = "
             f"{prof.deg_l} at I = {i_order}"
         )
-    base_prof = degree_profile(op)
-    if base_prof.strongly_nondegenerated:
-        bound = base_prof.deg_l + (j_ord - 1) * int(factor.degree)
-        if not red.remainder.degree < bound:
-            raise InternalInconsistency(
-                f"remainder degree {red.remainder.degree} breaks the bound {bound}"
-            )
     return RationalReductionResult(
         remainder_numer=red.remainder,
         denom_spec=spec,

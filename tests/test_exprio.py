@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoreduce import (
     Polynomial,
@@ -20,6 +22,12 @@ from holoreduce.errors import NegativeShiftPower, ParseError, ZeroOperator
 from holoreduce.sequences import DOMB_16N_OPERATOR, DOMB_NEG32N_OPERATOR
 
 from conftest import N, rand_fraction, rand_polynomial
+
+
+def assert_parse_error(parse, text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
 
 
 class TestParsePolynomial:
@@ -44,25 +52,19 @@ class TestParsePolynomial:
         assert parse_polynomial("-n^2") == -(N**2)
 
     def test_shift_rejected(self):
-        with pytest.raises(ParseError):
-            parse_polynomial("n + S")
+        assert_parse_error(parse_polynomial, "n + S", 4)
 
     def test_non_polynomial_division(self):
-        with pytest.raises(ParseError):
-            parse_polynomial("1/(n+1)")
+        assert_parse_error(parse_polynomial, "1/(n+1)", 0)
 
     def test_juxtaposition_rejected(self):
-        with pytest.raises(ParseError):
-            parse_polynomial("2 n")
+        assert_parse_error(parse_polynomial, "2 n", 2)
 
     def test_error_carries_position(self):
-        with pytest.raises(ParseError) as err:
-            parse_polynomial("n + $")
-        assert err.value.position == 4
+        assert_parse_error(parse_polynomial, "n + $", 4)
 
     def test_negative_exponent(self):
-        with pytest.raises(ParseError):
-            parse_polynomial("n^-2")
+        assert_parse_error(parse_polynomial, "n^-2", 2)
 
 
 class TestParseOperator:
@@ -95,8 +97,7 @@ class TestParseOperator:
             parse_operator("0")
 
     def test_rational_function_coefficient_rejected(self):
-        with pytest.raises(ParseError):
-            parse_operator("1/(n+1)*S")
+        assert_parse_error(parse_operator, "1/(n+1)*S", 0)
 
 
 class TestRoundTrip:
@@ -156,14 +157,160 @@ class TestFuzzTotality:
                         assert isinstance(err.position, int)
 
     def test_oversized_input(self):
-        with pytest.raises(ParseError):
-            parse_polynomial("1+" * 4000)
+        assert_parse_error(parse_polynomial, "1+" * 4000, 4096)
 
     def test_pathological_powers_bounded(self):
-        with pytest.raises(ParseError):
-            parse_polynomial("n^4097")
-        with pytest.raises(ParseError):
-            parse_polynomial("(n^99)^99")
+        assert_parse_error(parse_polynomial, "n^4097", 1)
+        assert_parse_error(parse_polynomial, "(n^99)^99", 6)
+
+
+class TestLimits:
+    """The degree limit applies to the reduced value, at the operator's
+    token, however the parser stores the value before reducing it."""
+
+    def test_cancelled_factor_does_not_count(self):
+        assert parse_polynomial("(n^300+1)/(n^300+1)*n^400") == N**400
+
+    def test_full_cancellation(self):
+        assert parse_polynomial("n^600/n^600") == 1
+
+    def test_degree_over_limit(self):
+        assert_parse_error(parse_polynomial, "(n+1)^601", 5)
+        assert_parse_error(parse_polynomial, "(n+1)^300*(n+2)^301", 9)
+
+    def test_shift_power_over_limit(self):
+        assert_parse_error(parse_operator, "S^513", 1)
+        assert_parse_error(parse_operator, "S^300*S^300", 5)
+
+    def test_high_power_of_rational_function(self):
+        r = parse_rational_function("((n^2+1)/(n+1))^60")
+        assert r.numer == (N**2 + 1) ** 60
+        assert r.denom == (N + 1) ** 60
+
+
+# -- differential test against rational-function arithmetic ----------------
+#
+# Trees are ("int", k), ("n",), ("S",), ("neg", a), ("^", a, e) and
+# (op, a, b) for op in "+-*/".  The oracle evaluates them as
+# {S-power: RationalFunction}, reducing after every operation.
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def _show(tree, context=0):
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1])
+    if kind in ("n", "S"):
+        return kind
+    prec = _PRECEDENCE[kind]
+    if kind == "neg":
+        text = "-" + _show(tree[1], 4)
+    elif kind == "^":
+        text = f"{_show(tree[1], 5)}^{tree[2]}"
+    else:
+        text = f"{_show(tree[1], prec)} {kind} {_show(tree[2], prec + 1)}"
+    return f"({text})" if prec < context else text
+
+
+def _product(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, RationalFunction(0)) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def _evaluate(tree):
+    kind = tree[0]
+    if kind == "int":
+        return {0: RationalFunction(tree[1])} if tree[1] else {}
+    if kind == "n":
+        return {0: RationalFunction(N)}
+    if kind == "S":
+        return {1: RationalFunction(1)}
+    a = _evaluate(tree[1])
+    if kind == "neg":
+        return {k: -v for k, v in a.items()}
+    if kind == "^":
+        out = {0: RationalFunction(1)}
+        for _ in range(tree[2]):
+            out = _product(out, a)
+        return out
+    b = _evaluate(tree[2])
+    if kind == "*":
+        return _product(a, b)
+    if kind == "/":
+        if any(k > 0 for k in b):
+            raise NegativeShiftPower("divisor contains S")
+        if not b:
+            raise ParseError("division by zero", 0)
+        return {k: v / b[0] for k, v in a.items()}
+    sign = 1 if kind == "+" else -1
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, RationalFunction(0)) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _expected(parse, parts):
+    if parse is parse_operator:
+        if not parts:
+            raise ZeroOperator("zero")
+        if not all(v.is_polynomial() for v in parts.values()):
+            raise ParseError("rational coefficient", 0)
+        return ShiftOperator([parts.get(i, RationalFunction(0)).as_polynomial()
+                              for i in range(max(parts) + 1)])
+    if any(k > 0 for k in parts):
+        raise ParseError("S not allowed", 0)
+    value = parts.get(0, RationalFunction(0))
+    if parse is parse_rational_function:
+        return value
+    if not value.is_polynomial():
+        raise ParseError("not a polynomial", 0)
+    return value.as_polynomial()
+
+
+def _trees(leaves, divisors=None):
+    """Expression trees over ``leaves``; with ``divisors``, also quotients
+    by a divisor tree or by any tree (which may contain S or be zero)."""
+    def extend(kids):
+        ops = [
+            st.tuples(st.sampled_from("+-*"), kids, kids),
+            st.tuples(st.just("neg"), kids),
+            st.tuples(st.just("^"), kids, st.integers(0, 3)),
+        ]
+        if divisors is not None:
+            ops.append(st.tuples(st.just("/"), kids, st.one_of(divisors, kids)))
+        return st.one_of(*ops)
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+_SHIFT_FREE = st.one_of(st.tuples(st.just("int"), st.integers(0, 12)),
+                        st.just(("n",)))
+_EXPRESSIONS = _trees(st.one_of(_SHIFT_FREE, st.just(("S",))),
+                      divisors=_trees(_SHIFT_FREE))
+
+
+class TestDifferential:
+    @given(tree=_EXPRESSIONS)
+    @settings(max_examples=300, deadline=None)
+    def test_parsers_match_rational_arithmetic(self, tree):
+        text = _show(tree)
+        graceful = (ParseError, NegativeShiftPower, ZeroOperator)
+        for parse in (parse_polynomial, parse_rational_function,
+                      parse_operator):
+            try:
+                want = _expected(parse, _evaluate(tree))
+            except graceful as err:
+                with pytest.raises(type(err)):
+                    parse(text)
+                continue
+            got = parse(text)
+            assert got == want
+            assert to_text(got) == to_text(want)
+            assert print_value(got, "latex") == print_value(want, "latex")
+            assert print_value(got, "structured") == print_value(want, "structured")
 
 
 class TestPrinters:

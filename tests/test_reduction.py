@@ -232,6 +232,20 @@ class TestRationalReduce:
         assert rr.remainder_numer == red.remainder
         assert rr.denominator == 1
 
+    def test_profiles_each_operator_once(self, monkeypatch):
+        import holoreduce.reduction as reduction
+
+        profiled = []
+
+        def counting(op):
+            profiled.append(op)
+            return degree_profile(op)
+
+        monkeypatch.setattr(reduction, "degree_profile", counting)
+        rr = rational_reduce(3 * N + 1, DOMB_NEG32N_OPERATOR,
+                             (N + 2) ** 2, "upper", 2)
+        assert profiled == [rr.derived_operator, DOMB_NEG32N_OPERATOR]
+
     def test_irreducible_reports(self):
         with pytest.raises(IrreducibleAtThisI):
             rational_reduce(3 * N + 1, STUCK_OPERATOR, N + 1, "lower", 2)
