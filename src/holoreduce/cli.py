@@ -11,6 +11,8 @@ import json
 import sys
 from fractions import Fraction
 
+import mpmath
+
 from .errors import (
     HoloreduceError,
     IrreducibleAtThisI,
@@ -156,9 +158,12 @@ def _cmd_verify(args) -> int:
             raise ValueError("numeric mode needs an identity fixture")
         report = numeric_series_check(fix, args.n_terms, accel=args.accel)
         ok = report["abs_error"] <= args.tol
+        # enough digits to read value and target back at the working precision
+        digits = mpmath.libmp.repr_dps(report["precision_bits"])
+        value, target = (mpmath.nstr(report[k], digits) for k in ("value", "target"))
         lines = [
-            f"value = {report['value']}",
-            f"target = {report['target']}",
+            f"value = {value}",
+            f"target = {target}",
             f"abs_error = {report['abs_error']}",
             f"tolerance = {args.tol}",
             f"status = {'PASS' if ok else 'FAIL'}",
@@ -167,8 +172,8 @@ def _cmd_verify(args) -> int:
             "command": "verify",
             "mode": "numeric",
             "label": fix.label,
-            "value": str(report["value"]),
-            "target": str(report["target"]),
+            "value": value,
+            "target": target,
             "abs_error": str(report["abs_error"]),
             "tolerance": args.tol,
             "terms": report["terms"],

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .errors import (
     InternalInconsistency,
@@ -23,6 +23,7 @@ from .polynomials import (
     Polynomial,
     falling_factorial,
     integer_roots,
+    integer_rows,
     interpolate,
     resultant,
 )
@@ -119,17 +120,11 @@ class ShiftOperator:
 
     def primitive(self) -> "ShiftOperator":
         """Scale to coprime integer coefficients, positive leading content."""
-        den = 1
-        for c in self._coeffs:
-            for f in c.coeffs:
-                den = lcm(den, f.denominator)
-        g = 0
-        for c in self._coeffs:
-            for f in c.coeffs:
-                g = gcd(g, f.numerator * (den // f.denominator))
-        if self._coeffs[-1].leading_coefficient < 0:
+        _, rows = integer_rows(self._coeffs)
+        g = gcd(*(v for row in rows for v in row))
+        if rows[-1][-1] < 0:
             g = -g
-        return ShiftOperator(tuple(c * Fraction(den, g) for c in self._coeffs))
+        return ShiftOperator(Polynomial([v // g for v in row]) for row in rows)
 
     def text(self) -> str:
         parts = []

@@ -217,15 +217,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def int_coeffs(self):
-        """Coefficients as plain ints, or None if any is non-integral."""
-        out = []
-        for c in self._coeffs:
-            if c.denominator != 1:
-                return None
-            out.append(c.numerator)
-        return out
-
     def monic(self) -> "Polynomial":
         if not self._coeffs:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
@@ -239,11 +230,8 @@ class Polynomial:
         """
         if not self._coeffs:
             return Fraction(0), Polynomial()
-        den = lcm(*(c.denominator for c in self._coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in self._coeffs]
-        g = 0
-        for v in nums:
-            g = gcd(g, v)
+        den, (nums,) = integer_rows([self])
+        g = gcd(*nums)
         if nums[-1] < 0:
             g = -g
         content = Fraction(g, den)
@@ -283,6 +271,23 @@ def _fraction_text(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
+def integer_rows(polys) -> tuple:
+    """Clear denominators: ``(d, rows)`` where ``d`` is the least common
+    denominator of all coefficients and ``rows[i]`` lists the integer
+    coefficients of ``d * polys[i]`` by ascending power."""
+    den = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return den, [[c.numerator * (den // c.denominator) for c in p.coeffs]
+                 for p in polys]
+
+
+def _horner(row, x):
+    """Value at ``x`` of the coefficients ``row`` (ascending powers)."""
+    acc = 0
+    for c in reversed(row):
+        acc = acc * x + c
+    return acc
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor of two polynomials over Q.
 
@@ -306,17 +311,17 @@ def falling_factorial(k: int) -> Polynomial:
     return out
 
 
-def _root_bound(int_coeffs) -> int:
+def _root_bound(ints) -> int:
     """Integer bound B with every real root of the poly inside [-B, B].
 
     Fujiwara-style bound computed from bit lengths only, so it stays sane
     for polynomials with huge coefficients (resultants in particular).
     """
-    d = len(int_coeffs) - 1
-    lead = abs(int_coeffs[-1])
+    d = len(ints) - 1
+    lead = abs(ints[-1])
     bound = 1
     for k in range(1, d + 1):
-        a = abs(int_coeffs[d - k])
+        a = abs(ints[d - k])
         if a == 0:
             continue
         # |a/lead|^(1/k) < 2^ceil((bits(a) - bits(lead) + 1) / k)
@@ -335,28 +340,25 @@ def integer_roots(p: Polynomial) -> set:
     if not p:
         raise ZeroPolynomial("integer_roots of the zero polynomial")
     roots = set()
-    coeffs = list(p.coeffs)
+    _, (ints,) = integer_rows([p])
     # Strip n^k: zero is a root iff the constant term vanishes.
     k = 0
-    while coeffs[k] == 0:
+    while ints[k] == 0:
         k += 1
     if k > 0:
         roots.add(0)
-        coeffs = coeffs[k:]
-    if len(coeffs) == 1:
+        ints = ints[k:]
+    if len(ints) == 1:
         return roots
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     const = abs(ints[0])
     bound = _root_bound(ints)
     if bound > 10**7:
         raise ValueError("integer root bound too large for divisor scan")
-    stripped = Polynomial(ints)
     for d in range(1, bound + 1):
         if const % d:
             continue
         for r in (d, -d):
-            if r not in roots and stripped.evaluate(r) == 0:
+            if r not in roots and _horner(ints, r) == 0:
                 roots.add(r)
     return roots
 

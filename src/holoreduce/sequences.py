@@ -16,7 +16,7 @@ from .errors import (
     SingularLeadingCoefficient,
 )
 from .operators import ShiftOperator
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _horner, integer_rows
 
 _n = Polynomial.variable()
 
@@ -24,11 +24,13 @@ _n = Polynomial.variable()
 class HolonomicSequence:
     """A sequence determined by a recurrence operator and initial values.
 
-    Evaluation runs the recurrence forward from ``start_index`` with a
-    cache shared by all callers (guarded by a lock, so concurrent eval is
-    linearizable).  ``oracle`` is an optional direct evaluator used for
-    cross-checks and for override values at singular points; sequences
-    may also be oracle-only (``operator=None``).
+    One stepper runs the recurrence forward from ``start_index``, on
+    exact ``Fraction`` values for :meth:`eval` and on ``mpf`` values for
+    numeric verification, so both channels see the same sequence: an
+    override wins at its index, and where the leading coefficient
+    vanishes the value comes from ``oracle``.  Exact values are cached
+    for all callers (guarded by a lock, so concurrent eval is
+    linearizable).  Sequences may also be oracle-only (``operator=None``).
     """
 
     def __init__(self, operator, start_index, initial_values, name="",
@@ -40,48 +42,55 @@ class HolonomicSequence:
         self.name = name
         self.oracle = oracle
         self.overrides = dict(overrides or {})
-        values = [Fraction(v) for v in initial_values]
-        if operator is not None and len(values) < operator.order:
+        self._initial = tuple(Fraction(v) for v in initial_values)
+        if operator is not None and len(self._initial) < operator.order:
             raise ValueError(
-                f"need {operator.order} initial values, got {len(values)}"
+                f"need {operator.order} initial values, got {len(self._initial)}"
             )
-        self._cache = values
+        # Scaling L by a constant keeps its recurrence, so step with integers.
+        self._rows = None if operator is None else integer_rows(operator.coeffs)[1]
+        self._cache = list(self._initial)
         self._lock = threading.Lock()
 
     def eval(self, n: int) -> Fraction:
         if n < self.start_index:
             raise IndexBelowStart(f"{n} is below start index {self.start_index}")
-        idx = n - self.start_index
         with self._lock:
-            self._fill(idx)
-            return self._cache[idx]
+            self._extend(self._cache, n, lambda v: v)
+            return self._cache[n - self.start_index]
 
-    def _fill(self, idx: int) -> None:
-        if self.operator is None:
-            while len(self._cache) <= idx:
-                t = self.start_index + len(self._cache)
-                self._cache.append(Fraction(self.oracle(t)))
+    def _extend(self, values, upto: int, convert) -> None:
+        """Extend ``values``, which holds F(start_index), F(start_index+1),
+        ... passed through ``convert``, so that it reaches F(upto).  The
+        arithmetic is ``+``, ``*`` and ``/`` between values and ints."""
+        start = self.start_index
+        count = upto - start + 1
+        if len(values) >= count:
             return
-        j_ord = self.operator.order
-        coeffs = self.operator.coeffs
-        while len(self._cache) <= idx:
-            t = self.start_index + len(self._cache)  # index being produced
+        values.extend(convert(v) for v in self._initial[len(values):count])
+        rows = self._rows
+        zero = convert(Fraction(0))
+        while len(values) < count:
+            t = start + len(values)  # index being produced
             if t in self.overrides:
-                self._cache.append(Fraction(self.overrides[t]))
+                values.append(convert(Fraction(self.overrides[t])))
                 continue
-            m = t - j_ord  # recurrence base point
-            lead = coeffs[j_ord].evaluate(m)
-            if lead == 0:
-                if self.oracle is not None:
-                    self._cache.append(Fraction(self.oracle(t)))
+            if rows is not None:
+                m = t - len(rows) + 1  # recurrence base point
+                cs = [_horner(row, m) for row in rows]
+                lead = cs.pop()
+                if lead != 0:
+                    acc = zero
+                    for i, c in enumerate(cs):
+                        if c:
+                            acc += c * values[m + i - start]
+                    values.append(-acc / lead)
                     continue
-                raise SingularLeadingCoefficient(
-                    f"a_J({m}) = 0 and no override value for index {t}"
-                )
-            acc = Fraction(0)
-            for i in range(j_ord):
-                acc += coeffs[i].evaluate(m) * self._cache[m + i - self.start_index]
-            self._cache.append(-acc / lead)
+                if self.oracle is None:
+                    raise SingularLeadingCoefficient(
+                        f"a_J({m}) = 0 and no override value for index {t}"
+                    )
+            values.append(convert(Fraction(self.oracle(t))))
 
     def values(self, a: int, b: int) -> list:
         """Exact values F(a), ..., F(b) inclusive."""
@@ -327,15 +336,8 @@ def guess_annihilator(terms, start_index: int, max_order: int, max_deg: int):
     terms = [Fraction(t) for t in terms]
 
     def annihilates(op: ShiftOperator) -> bool:
-        j_ord = op.order
-        for j in range(len(terms) - j_ord):
-            m = start_index + j
-            acc = Fraction(0)
-            for i, a in enumerate(op.coeffs):
-                acc += a.evaluate(m) * terms[j + i]
-            if acc != 0:
-                return False
-        return True
+        return all(op.apply(lambda k: terms[k - start_index], m) == 0
+                   for m in range(start_index, start_index + len(terms) - op.order))
 
     for order in range(1, max_order + 1):
         usable = len(terms) - order

@@ -25,9 +25,9 @@ from .errors import (
 )
 from .exprio import parse_polynomial
 from .operators import ShiftOperator
-from .polynomials import Polynomial, integer_roots
+from .polynomials import Polynomial, _horner, integer_roots, integer_rows
 from .reduction import RationalReductionResult, rational_reduce, sp_expand
-from .sequences import HolonomicSequence, get_sequence
+from .sequences import get_sequence
 
 PRECISION_ENV = "HOLOREDUCE_PRECISION_BITS"
 DEFAULT_PRECISION_BITS = 96
@@ -174,12 +174,12 @@ def check_telescoping(seq, op: ShiftOperator, x: Polynomial, window) -> bool:
 
 def first_valid_index(fix, rr: RationalReductionResult) -> int:
     """Smallest index where the reduced summand and certificate are defined."""
-    sp = sp_expand(rr.denom_spec)
-    start = fix.start_index
+    return _after_roots(sp_expand(rr.denom_spec), fix.start_index)
+
+
+def _after_roots(sp: Polynomial, start: int) -> int:
     roots = [r for r in integer_roots(sp) if r >= start] if not sp.is_zero() else []
-    if roots:
-        start = max(roots) + 1
-    return start
+    return max(roots) + 1 if roots else start
 
 
 def verify_identity_exact(fix, source, rr: RationalReductionResult,
@@ -205,22 +205,21 @@ def verify_identity_exact(fix, source, rr: RationalReductionResult,
         return False
 
     us = rr.reduction.certificate
-    a = max(first_valid_index(fix, rr), source.start_index, seq.start_index)
-
-    def g(m):
-        return seq.eval(m) / sp.evaluate(m)
+    a = max(_after_roots(sp, fix.start_index), source.start_index, seq.start_index)
+    values = seq.values(a, a + max(window_length, 0) + len(us))
+    g = [v / sp.evaluate(m) for m, v in enumerate(values, start=a)]
 
     def t_value(m):
         return -sum(
-            (u.evaluate(m) * g(m + i) for i, u in enumerate(us)), Fraction(0)
+            (u.evaluate(m) * g[m - a + i] for i, u in enumerate(us)), Fraction(0)
         )
 
     diff_sum = Fraction(0)
     t_a = t_value(a)
     for b in range(a, a + window_length + 1):
         diff_sum += (
-            source.numer.evaluate(b) / source.denom.evaluate(b) * seq.eval(b)
-            - rr.remainder_numer.evaluate(b) / sp.evaluate(b) * seq.eval(b)
+            source.numer.evaluate(b) / source.denom.evaluate(b) * values[b - a]
+            - rr.remainder_numer.evaluate(b) * g[b - a]
         )
         if diff_sum != t_value(b + 1) - t_a:
             return False
@@ -245,46 +244,6 @@ def _to_mpf(q: Fraction):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-def _int_horner(coeffs, m):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * m + c
-    return acc
-
-
-def _numeric_sequence_values(seq: HolonomicSequence, upto: int):
-    """F(start), ..., F(upto) as mpf values via the forward recurrence."""
-    if seq.operator is None:
-        return [_to_mpf(seq.eval(m)) for m in range(seq.start_index, upto + 1)]
-    j_ord = seq.operator.order
-    coeffs = seq.operator.coeffs
-    values = []
-    for i in range(min(j_ord, upto - seq.start_index + 1)):
-        values.append(_to_mpf(seq.eval(seq.start_index + i)))
-    int_coeffs = [c.int_coeffs() for c in coeffs]
-    fast = all(ic is not None for ic in int_coeffs)
-    base = seq.start_index
-    m = base
-    while len(values) <= upto - seq.start_index:
-        if fast:
-            cs = [_int_horner(ic, m) for ic in int_coeffs]
-        else:
-            cs = [c.evaluate(m) for c in coeffs]
-        lead = cs[j_ord]
-        if lead == 0:
-            values.append(_to_mpf(seq.eval(m + j_ord)))
-        else:
-            acc = mpmath.mpf(0)
-            for i in range(j_ord):
-                ci = cs[i]
-                if ci:
-                    acc += (ci if fast else _to_mpf(ci)) * values[m + i - base]
-            acc = -acc / lead if fast else -acc / _to_mpf(lead)
-            values.append(acc)
-        m += 1
-    return values
-
-
 def numeric_series_check(fix: IdentityFixture, n_terms: int,
                          accel: str = "average1",
                          precision: int | None = None) -> dict:
@@ -302,21 +261,15 @@ def numeric_series_check(fix: IdentityFixture, n_terms: int,
             f"fixture starts at {fix.start_index}, sequence at {seq.start_index}")
     with mpmath.workprec(bits):
         last = fix.start_index + n_terms - 1
-        values = _numeric_sequence_values(seq, last)
-        num_ints = fix.numer.int_coeffs()
-        den_ints = fix.denom.int_coeffs()
-        fast = num_ints is not None and den_ints is not None
+        values = []
+        seq._extend(values, last, _to_mpf)
+        # numer/denom is unchanged when both are scaled by one integer
+        _, (num_row, den_row) = integer_rows([fix.numer, fix.denom])
         total = mpmath.mpf(0)
         prev = total
         max_mag = mpmath.mpf(0)
         for n in range(fix.start_index, last + 1):
-            if fast:
-                coef = mpmath.mpf(_int_horner(num_ints, n)) / _int_horner(den_ints, n)
-            else:
-                num = fix.numer.evaluate(n)
-                den = fix.denom.evaluate(n)
-                coef = mpmath.mpf(num.numerator * den.denominator) / (
-                    num.denominator * den.numerator)
+            coef = mpmath.mpf(_horner(num_row, n)) / _horner(den_row, n)
             prev = total
             total += coef * values[n - seq.start_index]
             max_mag = max(max_mag, abs(total))

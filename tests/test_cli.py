@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from holoreduce import (
@@ -12,6 +13,7 @@ from holoreduce import (
     parse_polynomial,
 )
 from holoreduce.cli import main
+from holoreduce.verify import precision_bits
 
 from conftest import N
 
@@ -161,6 +163,16 @@ class TestVerify:
                            "--mode", "numeric", "--N", "2000")
         assert code == 0
         assert "status = PASS" in out
+        # value and target are printed to the working precision: read back,
+        # each is within abs_error plus one ulp of the fixture's 18/pi
+        fields = dict(line.split(" = ", 1) for line in out.splitlines())
+        with mpmath.workprec(384):
+            exact = 18 / mpmath.pi
+            value, target, err = (mpmath.mpf(fields[k])
+                                  for k in ("value", "target", "abs_error"))
+            ulp = exact * mpmath.mpf(2) ** (1 - precision_bits())
+            assert abs(target - exact) <= ulp
+            assert abs(value - exact) <= err + ulp
 
     def test_congruence_rational(self, capsys):
         code, out, _ = run(capsys, "verify",

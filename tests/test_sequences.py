@@ -1,6 +1,7 @@
 import threading
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from holoreduce import (
@@ -25,6 +26,7 @@ from holoreduce.sequences import (
     HARMONIC_RATIO_OPERATOR,
     central_trinomial_t,
 )
+from holoreduce.verify import _to_mpf
 
 from conftest import N
 
@@ -121,6 +123,40 @@ class TestEval:
         seq = HolonomicSequence(op, 0, [1, 1], overrides={5: Fraction(7)})
         assert seq.eval(5) == 7
         assert seq.eval(6) is not None
+
+
+def numeric_values(seq, upto, bits=96):
+    """F(start), ..., F(upto) from the stepper on mpf values."""
+    values = []
+    with mpmath.workprec(bits):
+        seq._extend(values, upto, _to_mpf)
+    return values
+
+
+class TestNumericChannel:
+    def test_override_at_regular_point(self):
+        # Fibonacci, F(n+2) = F(n) + F(n+1), with F(4) overridden
+        fib = ShiftOperator([Polynomial([1]), Polynomial([1]), Polynomial([-1])])
+        seq = HolonomicSequence(fib, 0, [0, 1], overrides={4: 100})
+        expected = [0, 1, 1, 2, 100, 102, 202]
+        assert seq.values(0, 6) == expected
+        assert numeric_values(seq, 6) == expected
+
+    def test_oracle_at_singular_point(self):
+        # F(n+1) = F(n)/2 except where a_J(300) = 0: the oracle takes over
+        op = ShiftOperator([N - 300, -2 * (N - 300)])
+        seq = HolonomicSequence(op, 0, [1],
+                                oracle=lambda t: Fraction(3, 2**t))
+        exact = seq.values(0, 320)
+        assert exact[301] == Fraction(3, 2**301)
+        assert exact[320] == Fraction(3, 2**320)
+        with mpmath.workprec(96):
+            assert numeric_values(seq, 320) == [_to_mpf(v) for v in exact]
+
+    def test_singular_point_without_oracle(self):
+        op = ShiftOperator([Polynomial([1]), Polynomial([1]), N - 3])
+        with pytest.raises(SingularLeadingCoefficient):
+            numeric_values(HolonomicSequence(op, 0, [1, 1]), 5)
 
 
 class TestCatalog:

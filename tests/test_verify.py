@@ -5,6 +5,7 @@ import pytest
 
 from holoreduce import (
     CongruenceFixture,
+    HolonomicSequence,
     IdentityFixture,
     Polynomial,
     ShiftOperator,
@@ -25,7 +26,8 @@ from holoreduce.errors import (
     NonInvertibleDenominator,
     PrimeFilterViolation,
 )
-from holoreduce.verify import _parse_target, first_valid_index
+from holoreduce.sequences import DOMB_16N_OPERATOR, catalog
+from holoreduce.verify import _parse_target, _to_mpf, first_valid_index
 
 from conftest import N
 
@@ -44,8 +46,6 @@ def derived_scaled_sequence():
         -N * (3 + 2 * N) * (12 + 15 * N + 5 * N**2),
         8 * (2 + N) ** 4,
     ])
-    from holoreduce import HolonomicSequence
-
     return HolonomicSequence(
         op, 2,
         [base.eval(2) / 2, base.eval(3) / 6],
@@ -218,6 +218,98 @@ class TestNumeric:
         monkeypatch.setenv("HOLOREDUCE_PRECISION_BITS", "junk")
         report = numeric_series_check(fixture("domb_neg32_base"), 200)
         assert report["precision_bits"] == 96
+
+
+def _reference_int_coeffs(poly):
+    """Coefficients as plain ints, or None if any is non-integral."""
+    out = []
+    for c in poly.coeffs:
+        if c.denominator != 1:
+            return None
+        out.append(c.numerator)
+    return out
+
+
+def _int_horner(coeffs, m):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * m + c
+    return acc
+
+
+def _reference_numeric_values(seq, upto):
+    """F(start), ..., F(upto) as mpf values via the forward recurrence.
+
+    The separate mpf walk that the shared stepper replaced, kept as the
+    reference: integer coefficient rows when the operator has them, else
+    each Fraction coefficient rounded to mpf."""
+    if seq.operator is None:
+        return [_to_mpf(seq.eval(m)) for m in range(seq.start_index, upto + 1)]
+    j_ord = seq.operator.order
+    coeffs = seq.operator.coeffs
+    values = []
+    for i in range(min(j_ord, upto - seq.start_index + 1)):
+        values.append(_to_mpf(seq.eval(seq.start_index + i)))
+    int_coeffs = [_reference_int_coeffs(c) for c in coeffs]
+    fast = all(ic is not None for ic in int_coeffs)
+    base = seq.start_index
+    m = base
+    while len(values) <= upto - seq.start_index:
+        if fast:
+            cs = [_int_horner(ic, m) for ic in int_coeffs]
+        else:
+            cs = [c.evaluate(m) for c in coeffs]
+        lead = cs[j_ord]
+        if lead == 0:
+            values.append(_to_mpf(seq.eval(m + j_ord)))
+        else:
+            acc = mpmath.mpf(0)
+            for i in range(j_ord):
+                ci = cs[i]
+                if ci:
+                    acc += (ci if fast else _to_mpf(ci)) * values[m + i - base]
+            acc = -acc / lead if fast else -acc / _to_mpf(lead)
+            values.append(acc)
+        m += 1
+    return values
+
+
+def _stepper_values(seq, upto):
+    values = []
+    seq._extend(values, upto, _to_mpf)
+    return values
+
+
+class TestNumericStepper:
+    TERMS = 3000
+
+    @pytest.mark.parametrize("bits", [96, 192])
+    def test_bit_identical_on_catalog(self, bits):
+        checked = 0
+        for entry in catalog():
+            seq = entry.sequence
+            if seq.operator is None:
+                continue
+            upto = seq.start_index + self.TERMS
+            with mpmath.workprec(bits):
+                ref = _reference_numeric_values(seq, upto)
+                new = _stepper_values(seq, upto)
+            assert [v._mpf_ for v in new] == [v._mpf_ for v in ref], entry.key
+            checked += 1
+        assert checked == 10
+
+    @pytest.mark.parametrize("bits", [96, 192])
+    def test_non_integral_operator(self, bits):
+        # the reference rounds each Fraction coefficient; the stepper scales
+        # the operator to integers, so agreement is relative, not exact
+        seq = HolonomicSequence(DOMB_16N_OPERATOR * Fraction(1, 3), 0,
+                                [1, Fraction(1, 4)])
+        with mpmath.workprec(bits):
+            ref = _reference_numeric_values(seq, self.TERMS)
+            new = _stepper_values(seq, self.TERMS)
+            bound = mpmath.mpf(2) ** -(bits - 8)
+            for r, v in zip(ref, new):
+                assert abs(v - r) <= bound * abs(r)
 
 
 class TestCongruence:
