@@ -22,7 +22,7 @@ from .errors import (
 from .exprio import SCHEMA, _body, parse_operator, parse_polynomial, to_latex, to_text
 from .operators import degree_profile, summable_degree_bounds
 from .polynomials import Polynomial
-from .reduction import polynomial_reduce, rational_reduce, sp_expand
+from .reduction import polynomial_reduce, rational_reduce
 from .sequences import get_sequence, guess_annihilator, load_terms
 from .verify import (
     CongruenceFixture,
@@ -111,12 +111,11 @@ def _cmd_rational_reduce(args) -> int:
     rr = rational_reduce(p, op, factor, args.side, args.order,
                          auto_grow=args.auto_grow)
     fmt = args.format
-    denominator = sp_expand(rr.denom_spec)
     lines = [
         f"side = {rr.side}",
         f"order = {rr.denom_spec.order}",
         f"remainder_numer = {_render(rr.remainder_numer, fmt)}",
-        f"denominator = {_render(denominator, fmt)}",
+        f"denominator = {_render(rr.denominator, fmt)}",
         f"derived_operator = {_render(rr.derived_operator, fmt)}",
         f"multiplier = {_render(rr.reduction.multiplier, fmt)}",
     ]
@@ -130,7 +129,7 @@ def _cmd_rational_reduce(args) -> int:
         "order": rr.denom_spec.order,
         "requested_order": args.order,
         "remainder_numer": _body(rr.remainder_numer),
-        "denominator": _body(denominator),
+        "denominator": _body(rr.denominator),
         "derived_operator": _body(rr.derived_operator),
         "multiplier": _body(rr.reduction.multiplier),
         "certificate": [_body(u) for u in rr.reduction.certificate],

@@ -102,21 +102,16 @@ class ShiftOperator:
 
         u_i(n) = sum_{j=1}^{J-i} a_{i+j}(n-j) x(n-j), so that
         L*(x)(n) F(n) = Delta(-sum_i u_i(n) F(n+i)) whenever L(F) = 0.
+        Computed as u_{J-1} = (a_J x)(n-1), u_i = (a_{i+1} x + u_{i+1})(n-1).
         """
         if self.order == 0:
             raise OrderZero("certificates need an operator of order >= 1")
         if not isinstance(x, Polynomial):
             x = Polynomial((Fraction(x),)) if x else Polynomial()
-        us = []
-        for i in range(self.order):
-            u = Polynomial()
-            for j in range(1, self.order - i + 1):
-                a = self.coefficient(i + j)
-                if a.is_zero():
-                    continue
-                u = u + a.shift(-j) * x.shift(-j)
-            us.append(u)
-        return us
+        us = [Polynomial()]
+        for a in reversed(self._coeffs[1:]):
+            us.append((a * x + us[-1]).shift(-1))
+        return us[:0:-1]
 
     def primitive(self) -> "ShiftOperator":
         """Scale to coprime integer coefficients, positive leading content."""

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
 from .errors import (
     FactorNotDivisor,
@@ -43,11 +45,9 @@ class ReductionResult:
 
 @dataclass(frozen=True)
 class ShiftProductSpec:
-    """Product of ``order`` consecutive shifts of ``base``.
-
-    direction +1: prod_{j=1..order} base(n + base_shift + j)
-    direction -1: prod_{j=1..order} base(n + base_shift - j)
-    order 0 expands to the constant 1.
+    """Product of ``order`` consecutive shifts of ``base``: the product of
+    base(n + t) over t in ``shifts``, which runs from base_shift + direction
+    in steps of direction (+1 or -1).  Order 0 expands to the constant 1.
     """
 
     base: Polynomial
@@ -55,16 +55,18 @@ class ShiftProductSpec:
     order: int
     base_shift: int = 0
 
+    @property
+    def shifts(self) -> range:
+        if self.order < 0:
+            raise ValueError("shift product order must be nonnegative")
+        if self.direction not in (1, -1):
+            raise ValueError("shift product direction must be +1 or -1")
+        step = self.direction
+        return range(self.base_shift + step, self.base_shift + step * (self.order + 1), step)
+
 
 def sp_expand(spec: ShiftProductSpec) -> Polynomial:
-    if spec.order < 0:
-        raise ValueError("shift product order must be nonnegative")
-    if spec.direction not in (1, -1):
-        raise ValueError("shift product direction must be +1 or -1")
-    out = Polynomial((Fraction(1),))
-    for j in range(1, spec.order + 1):
-        out = out * spec.base.shift(spec.base_shift + spec.direction * j)
-    return out
+    return prod(map(spec.base.shift, spec.shifts), start=Polynomial.constant(1))
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class RationalReductionResult:
     reduction: ReductionResult
     side: str
 
-    @property
+    @cached_property
     def denominator(self) -> Polynomial:
         return sp_expand(self.denom_spec)
 
@@ -134,70 +136,58 @@ def _polynomial_reduce(p, op: ShiftOperator, prof: DegreeProfile) -> ReductionRe
     )
 
 
-def build_L1_lower(op: ShiftOperator, a0_factor: Polynomial, i_order: int) -> ShiftOperator:
-    """Annihilator of G(n) = F(n) / prod_{j=1..I} A0(n-j) given L(F) = 0.
+def _side_spec(op: ShiftOperator, factor: Polynomial, side: str, i_order: int) -> ShiftProductSpec:
+    """The shift product of a rational reduction: A(n-1)...A(n-I) on the
+    lower side, A(n-J+1)...A(n-J+I) on the upper side."""
+    if side == "lower":
+        return ShiftProductSpec(base=factor, direction=-1, order=i_order)
+    return ShiftProductSpec(base=factor, direction=1, order=i_order, base_shift=-op.order)
 
-    The constant coefficient is (a_0/A0)(n) * prod_{j=I-J+1..I} A0(n-j);
-    the sigma^i coefficient for i >= 1 is
-    a_i(n) * prod_{j=1..i-1} A0(n+j) * prod_{j=I-J+1..I-i} A0(n-j).
+
+def _build_L1(op: ShiftOperator, spec: ShiftProductSpec) -> ShiftOperator:
+    """Annihilator L1 of G(n) = F(n) / SP(n) given L(F) = 0, where SP is
+    the shift product of the factor A = spec.base.
+
+    With SP(n) = prod_{t in R} A(n+t), sum_i a_i(n) SP(n+i) S^i annihilates
+    G.  Its home coefficient (i = 0 when SP runs backward, i = J when it
+    runs forward) is the one without A(n), and A divides a_home.  The
+    other coefficients share A(n+t) for t in a set C that contains 0, so
+    L1 keeps a_i(n) prod_{t in (R+i) - C} A(n+t), with a_home/A for a_home.
     """
     j_ord = op.order
     if j_ord == 0:
         raise OrderZero("rational reduction needs an operator of order >= 1")
-    if i_order < j_ord:
-        raise OrderTooSmall(f"need I >= {j_ord}, got {i_order}")
-    a0 = op.coefficient(0)
-    if a0.is_zero() or a0_factor.is_zero():
-        raise ZeroInput("lower reduction requires a nonzero constant coefficient")
-    quo, rem = divmod(a0, a0_factor)
+    if spec.order < j_ord:
+        raise OrderTooSmall(f"need I >= {j_ord}, got {spec.order}")
+    factor = spec.base
+    if spec.direction < 0:
+        home, name = 0, "a_0"
+        zero_input = "lower reduction requires a nonzero constant coefficient"
+    else:
+        home, name = j_ord, "a_J"
+        zero_input = "upper reduction requires a nonzero factor"
+    a_home = op.coefficient(home)
+    if a_home.is_zero() or factor.is_zero():
+        raise ZeroInput(zero_input)
+    quo, rem = divmod(a_home, factor)
     if rem:
-        raise FactorNotDivisor(f"{a0_factor} does not divide a_0 = {a0}")
-    coeffs = []
-    c0 = quo
-    for j in range(i_order - j_ord + 1, i_order + 1):
-        c0 = c0 * a0_factor.shift(-j)
-    coeffs.append(c0)
-    for i in range(1, j_ord + 1):
-        ci = op.coefficient(i)
-        for j in range(1, i):
-            ci = ci * a0_factor.shift(j)
-        for j in range(i_order - j_ord + 1, i_order - i + 1):
-            ci = ci * a0_factor.shift(-j)
-        coeffs.append(ci)
-    return ShiftOperator(coeffs)
+        raise FactorNotDivisor(f"{factor} does not divide {name} = {a_home}")
+    held = [{t + i for t in spec.shifts} for i in range(j_ord + 1)]
+    common = set.intersection(*(h for i, h in enumerate(held) if i != home))
+    return ShiftOperator(
+        prod(map(factor.shift, h - common), start=quo if i == home else op.coefficient(i))
+        for i, h in enumerate(held)
+    )
+
+
+def build_L1_lower(op: ShiftOperator, a0_factor: Polynomial, i_order: int) -> ShiftOperator:
+    """Annihilator of G(n) = F(n) / prod_{j=1..I} A0(n-j) given L(F) = 0."""
+    return _build_L1(op, _side_spec(op, a0_factor, "lower", i_order))
 
 
 def build_L1_upper(op: ShiftOperator, aj_factor: Polynomial, i_order: int) -> ShiftOperator:
-    """Annihilator of G(n) = F(n) / prod_{j=1..I} A_J(n-J+j) given L(F) = 0.
-
-    The sigma^i coefficient for i < J is
-    a_i(n) * prod_{j=1..J-i-1} A_J(n-j) * prod_{j=I-J+1..I-J+i} A_J(n+j);
-    the top coefficient is (a_J/A_J)(n) * prod_{j=I-J+1..I} A_J(n+j).
-    """
-    j_ord = op.order
-    if j_ord == 0:
-        raise OrderZero("rational reduction needs an operator of order >= 1")
-    if i_order < j_ord:
-        raise OrderTooSmall(f"need I >= {j_ord}, got {i_order}")
-    aj = op.coefficient(j_ord)
-    if aj_factor.is_zero():
-        raise ZeroInput("upper reduction requires a nonzero factor")
-    quo, rem = divmod(aj, aj_factor)
-    if rem:
-        raise FactorNotDivisor(f"{aj_factor} does not divide a_J = {aj}")
-    coeffs = []
-    for i in range(j_ord):
-        ci = op.coefficient(i)
-        for j in range(1, j_ord - i):
-            ci = ci * aj_factor.shift(-j)
-        for j in range(i_order - j_ord + 1, i_order - j_ord + i + 1):
-            ci = ci * aj_factor.shift(j)
-        coeffs.append(ci)
-    cj = quo
-    for j in range(i_order - j_ord + 1, i_order + 1):
-        cj = cj * aj_factor.shift(j)
-    coeffs.append(cj)
-    return ShiftOperator(coeffs)
+    """Annihilator of G(n) = F(n) / prod_{j=1..I} A_J(n-J+j) given L(F) = 0."""
+    return _build_L1(op, _side_spec(op, aj_factor, "upper", i_order))
 
 
 def rational_reduce(
@@ -239,16 +229,11 @@ def rational_reduce(
 
 
 def _rational_reduce_once(p, op, factor, side, i_order):
-    j_ord = op.order
-    if side == "lower":
-        derived = build_L1_lower(op, factor, i_order)
-        spec = ShiftProductSpec(base=factor, direction=-1, order=i_order, base_shift=0)
-    else:
-        derived = build_L1_upper(op, factor, i_order)
-        spec = ShiftProductSpec(base=factor, direction=1, order=i_order, base_shift=-j_ord)
-    q = p * sp_expand(spec)
+    build = build_L1_lower if side == "lower" else build_L1_upper
+    derived = build(op, factor, i_order)
+    spec = _side_spec(op, factor, side, i_order)
     prof = degree_profile(derived)
-    red = _polynomial_reduce(q, derived, prof)
+    red = _polynomial_reduce(p * sp_expand(spec), derived, prof)
     if prof.degenerated and red.remainder.degree >= prof.deg_l:
         raise IrreducibleAtThisI(
             f"remainder degree {red.remainder.degree} not below deg L1 = "

@@ -328,8 +328,11 @@ def guess_annihilator(terms, start_index: int, max_order: int, max_deg: int):
     ascending (order, degree) pairs, holding out the last 10 usable
     positions; the first candidate that also annihilates the held-out
     terms is returned in primitive integer form.  Returns None when no
-    candidate fits.
+    candidate fits; the search needs max_order >= 1 and max_deg >= 0.
     """
+    if max_order < 1 or max_deg < 0:
+        raise ValueError(f"empty search: need max_order >= 1 and max_deg >= 0,"
+                         f" got {max_order} and {max_deg}")
     need = (max_order + 1) * (max_deg + 2) + max_order + 10
     if len(terms) < need:
         raise InsufficientTerms(f"need at least {need} terms, got {len(terms)}")

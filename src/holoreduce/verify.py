@@ -26,7 +26,7 @@ from .errors import (
 from .exprio import parse_polynomial
 from .operators import ShiftOperator
 from .polynomials import Polynomial, _horner, integer_roots, integer_rows
-from .reduction import RationalReductionResult, rational_reduce, sp_expand
+from .reduction import RationalReductionResult, rational_reduce
 from .sequences import get_sequence
 
 PRECISION_ENV = "HOLOREDUCE_PRECISION_BITS"
@@ -174,7 +174,7 @@ def check_telescoping(seq, op: ShiftOperator, x: Polynomial, window) -> bool:
 
 def first_valid_index(fix, rr: RationalReductionResult) -> int:
     """Smallest index where the reduced summand and certificate are defined."""
-    return _after_roots(sp_expand(rr.denom_spec), fix.start_index)
+    return _after_roots(rr.denominator, fix.start_index)
 
 
 def _after_roots(sp: Polynomial, start: int) -> int:
@@ -187,12 +187,14 @@ def verify_identity_exact(fix, source, rr: RationalReductionResult,
     """Exact windowed check that the source summand minus the reduced
     summand telescopes through the certificate, and that the fixture's
     published numerator matches the reduction remainder up to its
-    recorded scalar."""
+    recorded scalar.  The window must not be negative."""
+    if window_length < 0:
+        raise ValueError(f"window length must be >= 0, got {window_length}")
     if fix.sequence_key != source.sequence_key:
         raise MismatchedSequence(
             f"{fix.sequence_key} vs {source.sequence_key}")
     seq = _resolve(fix.sequence_key)
-    sp = sp_expand(rr.denom_spec)
+    sp = rr.denominator
 
     if fix.recipe is not None:
         if rr.remainder_numer != fix.recipe.scalar * fix.numer:
@@ -206,7 +208,7 @@ def verify_identity_exact(fix, source, rr: RationalReductionResult,
 
     us = rr.reduction.certificate
     a = max(_after_roots(sp, fix.start_index), source.start_index, seq.start_index)
-    values = seq.values(a, a + max(window_length, 0) + len(us))
+    values = seq.values(a, a + window_length + len(us))
     g = [v / sp.evaluate(m) for m, v in enumerate(values, start=a)]
 
     def t_value(m):

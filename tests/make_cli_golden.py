@@ -1,0 +1,170 @@
+"""Write tests/golden/cli.json: stdout, stderr and exit code of in-process
+``holoreduce.cli.main`` on a fixed set of command lines.
+
+Run from the repository root to regenerate after an intended output change:
+
+    PYTHONPATH=src python tests/make_cli_golden.py
+
+Arguments starting with ``@fixtures/`` name a shipped fixture file and
+``@golden/`` a file next to the golden file; tests/test_cli_golden.py
+resolves both the same way and compares every entry byte for byte.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+from holoreduce import fixtures_dir, franel_number
+from holoreduce.cli import main as cli_main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_FILE = GOLDEN_DIR / "cli.json"
+FORMATS = ("text", "latex", "structured")
+
+HARMONIC = "n*(n+1)^2 - (n+1)*(n+2)*(2*n+3)*S + (n+2)^2*(n+3)*S^2"
+CB27 = "(2*n-1)^4 - 16*(n+1)^4*S"
+DERIVED_16N = "2*(-1+n)*n*(1+n)^2 - n*(3+2*n)*(12+15*n+5*n^2)*S + 8*(2+n)^4*S^2"
+NEG32 = "(n+1)^3 + (2*n+3)*(5*n^2+15*n+12)*S + 16*(n+2)^3*S^2"
+DOMB_16N = "2*(n+1)^3 - (2*n+3)*(5*n^2+15*n+12)*S + 8*(n+2)^3*S^2"
+STUCK = "(2*n+2) - 2*S - (2*n+4)*S^2"
+
+IDENTITY_FIXTURES = (
+    "domb_neg32_base",
+    "domb_neg32_lower_cube",
+    "domb_neg32_lower_sq",
+    "domb_neg32_upper_cube",
+    "domb_neg32_upper_sq",
+    "domb_neg32_upper_sq_order3",
+)
+CONGRUENCE_FIXTURES = ("domb_16n_linear_cong", "domb_16n_rational_cong")
+
+# (operator, poly, factor, side, order) of every fixture recipe
+RECIPES = (
+    (NEG32, "3*n + 1", "(n+1)^3", "lower", "2"),
+    (NEG32, "3*n + 1", "(n+1)^2", "lower", "2"),
+    (NEG32, "3*n + 1", "(n+2)^3", "upper", "2"),
+    (NEG32, "3*n + 1", "(n+2)^2", "upper", "2"),
+    (NEG32, "3*n + 1", "(n+2)^2", "upper", "3"),
+    (DOMB_16N, "3*n + 1", "n + 1", "lower", "2"),
+)
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+          67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
+
+
+def cases() -> list:
+    """Command lines covered by the golden file, in a fixed order."""
+    out = []
+    for fmt in FORMATS:
+        f = ("--format", fmt)
+        out += [
+            ("classify", "--operator", HARMONIC, *f),
+            ("classify", "--operator", CB27, *f),
+            ("classify", "--operator", NEG32, *f),
+            ("classify", "--operator", "S-1", *f),
+            ("reduce", "--operator", DERIVED_16N, "--poly", "n*(n-1)*(3*n+1)", *f),
+            ("reduce", "--operator", NEG32, "--poly", "(3*n+1)*(n+2)^3", *f),
+            ("rational-reduce", "--operator", NEG32, "--poly", "3*n+1",
+             "--factor", "(n+2)^2", "--side", "upper", "--order", "2", *f),
+            ("guess", "--terms", "@golden/franel_terms.txt", "--start", "0",
+             "--max-order", "2", "--max-deg", "3", *f),
+            ("guess", "--terms", "@golden/primes_terms.txt", "--start", "0",
+             "--max-order", "1", "--max-deg", "1", *f),
+            ("verify", "--fixture", "@fixtures/domb_neg32_upper_sq.fixture",
+             "--mode", "numeric", "--N", "2000", *f),
+            ("verify", "--fixture", "@fixtures/domb_neg32_upper_sq.fixture",
+             "--mode", "exact", *f),
+            ("verify", "--fixture", "@fixtures/domb_16n_rational_cong.fixture",
+             "--mode", "congruence", *f),
+            ("eval", "--sequence", "domb", "--n", "2", *f),
+            ("eval", "--sequence", "harmonic_m1", "--n", "7", *f),
+            ("sum", "--sequence", "domb_over_neg32n", "--numer", "3*n+1",
+             "--from", "0", "--to", "40", *f),
+            ("sum", "--sequence", "domb_over_16n", "--numer", "(n+1)^2",
+             "--denom", "n*(n-1)", "--from", "2", "--to", "30", *f),
+        ]
+    for name in IDENTITY_FIXTURES:
+        path = f"@fixtures/{name}.fixture"
+        out.append(("verify", "--fixture", path, "--mode", "numeric", "--N", "2000"))
+        out.append(("verify", "--fixture", path, "--mode", "exact", "--window", "40"))
+    for name in CONGRUENCE_FIXTURES:
+        out.append(("verify", "--fixture", f"@fixtures/{name}.fixture",
+                    "--mode", "congruence"))
+    out.append(("verify", "--fixture", "@fixtures/domb_16n_rational_cong.fixture",
+                "--mode", "exact", "--window", "40"))
+    for op, poly, factor, side, order in RECIPES:
+        base = ("rational-reduce", "--operator", op, "--poly", poly,
+                "--factor", factor, "--side", side, "--order", order)
+        out += [base, (*base, "--auto-grow")]
+    out += [
+        # usage, parse and precondition errors
+        ("classify", "--operator", "S +* 1"),
+        ("reduce", "--operator", "S-1", "--poly", "S"),
+        ("rational-reduce", "--operator", NEG32, "--poly", "3*n+1",
+         "--factor", "n+9", "--side", "upper", "--order", "2"),
+        ("rational-reduce", "--operator", NEG32, "--poly", "3*n+1",
+         "--factor", "n+9", "--side", "lower", "--order", "2"),
+        ("rational-reduce", "--operator", NEG32, "--poly", "3*n+1",
+         "--factor", "(n+2)^2", "--side", "upper", "--order", "1"),
+        ("rational-reduce", "--operator", NEG32, "--poly", "3*n+1",
+         "--factor", "0", "--side", "upper", "--order", "2"),
+        ("rational-reduce", "--operator", NEG32, "--poly", "3*n+1",
+         "--factor", "0", "--side", "lower", "--order", "2"),
+        ("rational-reduce", "--operator", "n*S - S^2", "--poly", "3*n+1",
+         "--factor", "n", "--side", "lower", "--order", "2"),
+        ("rational-reduce", "--operator", "1", "--poly", "3*n+1",
+         "--factor", "1", "--side", "lower", "--order", "2"),
+        ("rational-reduce", "--operator", STUCK, "--poly", "3*n+1",
+         "--factor", "n+1", "--side", "lower", "--order", "2", "--auto-grow"),
+        ("sum", "--sequence", "domb", "--numer", "1", "--denom", "n-3",
+         "--from", "0", "--to", "5"),
+        ("eval", "--sequence", "mystery", "--n", "1"),
+        ("verify", "--fixture", "@fixtures/domb_neg32_base.fixture", "--mode", "exact"),
+        ("verify", "--fixture", "@fixtures/domb_16n_linear_cong.fixture",
+         "--mode", "numeric"),
+    ]
+    return [list(argv) for argv in out]
+
+
+def resolve(argv) -> list:
+    """Replace the ``@fixtures/`` and ``@golden/`` prefixes with paths."""
+    roots = {"@fixtures/": Path(str(fixtures_dir())), "@golden/": GOLDEN_DIR}
+    out = []
+    for arg in argv:
+        for prefix, root in roots.items():
+            if arg.startswith(prefix):
+                arg = str(root / arg[len(prefix):])
+        out.append(arg)
+    return out
+
+
+def run(argv) -> dict:
+    """Run ``cli.main`` in process and capture what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def write_term_files() -> None:
+    files = {"franel_terms.txt": [franel_number(k) for k in range(30)],
+             "primes_terms.txt": PRIMES}
+    for name, terms in files.items():
+        (GOLDEN_DIR / name).write_text("".join(f"{t}\n" for t in terms))
+
+
+def main() -> None:
+    os.environ.pop("HOLOREDUCE_PRECISION_BITS", None)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    write_term_files()
+    entries = [{"argv": argv, **run(resolve(argv))} for argv in cases()]
+    GOLDEN_FILE.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"wrote {len(entries)} entries to {GOLDEN_FILE}")
+
+
+if __name__ == "__main__":
+    main()

@@ -148,6 +148,16 @@ class TestGuess:
         assert code == 0
         assert parse_operator(out.strip()).order == 2
 
+    @pytest.mark.parametrize("bounds", [("--max-order", "0"), ("--max-deg", "-1")],
+                             ids=["max-order 0", "max-deg -1"])
+    def test_empty_search_exits_2(self, capsys, tmp_path, bounds):
+        path = tmp_path / "ones.txt"
+        path.write_text("\n".join(["1"] * 30) + "\n")
+        code, out, err = run(capsys, "guess", "--terms", str(path), *bounds)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: empty search")
+
     def test_insufficient_terms_exits_2(self, capsys, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("1\n2\n3\n")
@@ -191,6 +201,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify",
                            "--fixture", fixture_path("domb_16n_rational_cong"),
                            "--mode", "exact", "--window", "60")
+        assert code == 0
+        assert "status = PASS" in out
+
+    def test_exact_negative_window_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--fixture", fixture_path("domb_neg32_upper_sq"),
+                             "--mode", "exact", "--window", "-5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: window length must be >= 0, got -5\n"
+
+    def test_exact_zero_window(self, capsys):
+        code, out, _ = run(capsys, "verify", "--fixture", fixture_path("domb_neg32_upper_sq"),
+                           "--mode", "exact", "--window", "0")
         assert code == 0
         assert "status = PASS" in out
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoreduce import (
     Polynomial,
@@ -324,3 +326,127 @@ class TestDenominatorAdmissibility:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroInput):
             denominator_admissibility(DOMB_16N_OPERATOR, Polynomial())
+
+
+# The two hand-expanded builders that the single shift-product builder
+# replaced, kept verbatim as the differential oracle.
+def parent_build_L1_lower(op: ShiftOperator, a0_factor: Polynomial, i_order: int) -> ShiftOperator:
+    """Annihilator of G(n) = F(n) / prod_{j=1..I} A0(n-j) given L(F) = 0.
+
+    The constant coefficient is (a_0/A0)(n) * prod_{j=I-J+1..I} A0(n-j);
+    the sigma^i coefficient for i >= 1 is
+    a_i(n) * prod_{j=1..i-1} A0(n+j) * prod_{j=I-J+1..I-i} A0(n-j).
+    """
+    j_ord = op.order
+    if j_ord == 0:
+        raise OrderZero("rational reduction needs an operator of order >= 1")
+    if i_order < j_ord:
+        raise OrderTooSmall(f"need I >= {j_ord}, got {i_order}")
+    a0 = op.coefficient(0)
+    if a0.is_zero() or a0_factor.is_zero():
+        raise ZeroInput("lower reduction requires a nonzero constant coefficient")
+    quo, rem = divmod(a0, a0_factor)
+    if rem:
+        raise FactorNotDivisor(f"{a0_factor} does not divide a_0 = {a0}")
+    coeffs = []
+    c0 = quo
+    for j in range(i_order - j_ord + 1, i_order + 1):
+        c0 = c0 * a0_factor.shift(-j)
+    coeffs.append(c0)
+    for i in range(1, j_ord + 1):
+        ci = op.coefficient(i)
+        for j in range(1, i):
+            ci = ci * a0_factor.shift(j)
+        for j in range(i_order - j_ord + 1, i_order - i + 1):
+            ci = ci * a0_factor.shift(-j)
+        coeffs.append(ci)
+    return ShiftOperator(coeffs)
+
+
+def parent_build_L1_upper(op: ShiftOperator, aj_factor: Polynomial, i_order: int) -> ShiftOperator:
+    """Annihilator of G(n) = F(n) / prod_{j=1..I} A_J(n-J+j) given L(F) = 0.
+
+    The sigma^i coefficient for i < J is
+    a_i(n) * prod_{j=1..J-i-1} A_J(n-j) * prod_{j=I-J+1..I-J+i} A_J(n+j);
+    the top coefficient is (a_J/A_J)(n) * prod_{j=I-J+1..I} A_J(n+j).
+    """
+    j_ord = op.order
+    if j_ord == 0:
+        raise OrderZero("rational reduction needs an operator of order >= 1")
+    if i_order < j_ord:
+        raise OrderTooSmall(f"need I >= {j_ord}, got {i_order}")
+    aj = op.coefficient(j_ord)
+    if aj_factor.is_zero():
+        raise ZeroInput("upper reduction requires a nonzero factor")
+    quo, rem = divmod(aj, aj_factor)
+    if rem:
+        raise FactorNotDivisor(f"{aj_factor} does not divide a_J = {aj}")
+    coeffs = []
+    for i in range(j_ord):
+        ci = op.coefficient(i)
+        for j in range(1, j_ord - i):
+            ci = ci * aj_factor.shift(-j)
+        for j in range(i_order - j_ord + 1, i_order - j_ord + i + 1):
+            ci = ci * aj_factor.shift(j)
+        coeffs.append(ci)
+    cj = quo
+    for j in range(i_order - j_ord + 1, i_order + 1):
+        cj = cj * aj_factor.shift(j)
+    coeffs.append(cj)
+    return ShiftOperator(coeffs)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as err:  # compared by class and message
+        return type(err), str(err)
+
+
+_SMALL_POLYS = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(Polynomial)
+_NONZERO_POLYS = _SMALL_POLYS.filter(lambda p: not p.is_zero())
+
+
+class TestSingleBuilderAgainstParent:
+    """One shift-product builder gives the parent's operator, exception
+    class and message for both sides."""
+
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_parent_builders(self, data):
+        j_ord = data.draw(st.integers(1, 3), label="J")
+        coeffs = data.draw(st.lists(_SMALL_POLYS, min_size=j_ord, max_size=j_ord))
+        coeffs.append(data.draw(_NONZERO_POLYS))
+        side = data.draw(st.sampled_from(["lower", "upper"]))
+        home = 0 if side == "lower" else j_ord
+        kind = data.draw(st.sampled_from(["divides", "arbitrary", "zero factor", "zero a_0"]))
+        factor = Polynomial() if kind == "zero factor" else data.draw(_NONZERO_POLYS)
+        if kind == "divides" and not coeffs[home].is_zero():
+            coeffs[home] = coeffs[home] * factor
+        if kind == "zero a_0":
+            coeffs[0] = Polynomial()
+        op = ShiftOperator(coeffs)
+        i_order = data.draw(st.integers(j_ord - 1, j_ord + 3), label="I")
+        if side == "lower":
+            pair = (parent_build_L1_lower, build_L1_lower)
+        else:
+            pair = (parent_build_L1_upper, build_L1_upper)
+        want, got = (_outcome(build, op, factor, i_order) for build in pair)
+        assert got == want
+
+    def test_each_error_is_reached(self):
+        # the four rejections the differential test compares, once each
+        op = DOMB_NEG32N_OPERATOR
+        cases = [
+            (build_L1_lower, op, N + 9, 2, FactorNotDivisor),
+            (build_L1_upper, op, N + 9, 2, FactorNotDivisor),
+            (build_L1_upper, op, (N + 2) ** 2, 1, OrderTooSmall),
+            (build_L1_lower, ShiftOperator([0, N, 1]), N, 2, ZeroInput),
+            (build_L1_lower, op, Polynomial(), 2, ZeroInput),
+            (build_L1_upper, op, Polynomial(), 2, ZeroInput),
+        ]
+        parent = {build_L1_lower: parent_build_L1_lower, build_L1_upper: parent_build_L1_upper}
+        for build, L, factor, i_order, err in cases:
+            want = _outcome(parent[build], L, factor, i_order)
+            assert want[0] is err
+            assert _outcome(build, L, factor, i_order) == want

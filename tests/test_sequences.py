@@ -229,6 +229,15 @@ class TestGuessing:
         with pytest.raises(InsufficientTerms):
             guess_annihilator([1, 2, 3], 0, 2, 3)
 
+    def test_max_order_below_one_rejected(self):
+        # an empty search must not read as "no annihilator exists"
+        with pytest.raises(ValueError, match="max_order >= 1"):
+            guess_annihilator([1] * 30, 0, 0, 2)
+
+    def test_negative_max_deg_rejected(self):
+        with pytest.raises(ValueError, match="max_deg >= 0"):
+            guess_annihilator([1] * 30, 0, 2, -1)
+
     def test_no_candidate_returns_none(self):
         # factorials are not annihilated by degree-0 order-1 operators
         import math

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoreduce import (
     CongruenceFixture,
@@ -22,6 +24,7 @@ from holoreduce import (
 )
 from holoreduce.errors import (
     DomainViolation,
+    HoloreduceError,
     MismatchedSequence,
     NonInvertibleDenominator,
     PrimeFilterViolation,
@@ -147,6 +150,14 @@ class TestIdentityExact:
         rr = rederive(fix, None)
         with pytest.raises(MismatchedSequence):
             verify_identity_exact(fix, source, rr)
+
+    def test_negative_window_rejected(self):
+        fix = fixture("domb_neg32_upper_sq")
+        source = fixture("domb_neg32_base")
+        rr = rederive(fix, source)
+        with pytest.raises(ValueError, match="window length must be >= 0"):
+            verify_identity_exact(fix, source, rr, window_length=-5)
+        assert verify_identity_exact(fix, source, rr, window_length=0)
 
     def test_detects_wrong_numerator(self):
         fix = fixture("domb_neg32_upper_sq")
@@ -397,3 +408,64 @@ class TestFixtureFiles:
         assert fix.target_r1 == -18
         assert fix.recipe.scalar == Fraction(-1, 9)
         assert fix.denom == N**2 * (N - 1) ** 2
+
+
+# What the command line maps to exit 2; a fixture parser may raise nothing else.
+USAGE_ERRORS = (ValueError, KeyError, ZeroDivisionError, HoloreduceError)
+
+_TARGET_TOKENS = st.sampled_from(
+    ["0", "1", "2", "18", "-", "+", " ", "/", "/pi", "pi", "mod p^2", "mod p",
+     "3/2", "1/0", "0/0", "*", ".", "e", "_", "1e3", "\t"])
+_TARGETS = st.one_of(st.text(max_size=40),
+                     st.lists(_TARGET_TOKENS, max_size=10).map("".join))
+_FIXTURE_KEYS = ["sequence", "numer", "denom", "start", "target", "label",
+                 "primes", "source_numer", "factor", "side", "order", "scalar", "x"]
+_VALUE_TOKENS = st.sampled_from(
+    ["n", "S", "1", "-2", "3/2", "0", "+", "*", "^", "(", ")", "/", " ", "#",
+     "=", "mod", "pi", "/pi", "mod p^2", "domb", "lower", "upper", "1/0"])
+_VALUES = st.one_of(st.text(max_size=20),
+                    st.lists(_VALUE_TOKENS, max_size=8).map("".join))
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(_FIXTURE_KEYS), _VALUES).map(" = ".join),
+    st.text(max_size=30),
+)
+_FIXTURE_TEXTS = st.one_of(st.lists(_LINES, max_size=14).map("\n".join),
+                           st.text(max_size=200))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFixtureParserFuzz:
+    """Every input parses or raises an error the command line reports as
+    a usage error (exit 2)."""
+
+    @given(text=_TARGETS)
+    @settings(max_examples=400, deadline=None)
+    def test_parse_target(self, text):
+        try:
+            kind, *values = _parse_target(text)
+        except USAGE_ERRORS:
+            return
+        assert kind in ("identity", "congruence")
+        assert all(isinstance(v, Fraction) for v in values)
+
+    @given(text=_FIXTURE_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_load_fixture(self, fuzz_dir, text):
+        path = fuzz_dir / "fuzz.fixture"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        try:
+            fix = load_fixture(str(path))
+        except USAGE_ERRORS:
+            return
+        assert isinstance(fix, (IdentityFixture, CongruenceFixture))
+
+    def test_well_formed_fixture_parses(self, fuzz_dir):
+        # the structured strategy can build a valid fixture
+        path = fuzz_dir / "valid.fixture"
+        path.write_text("sequence = domb\nnumer = n\ntarget = 1 + 2/pi\n")
+        fix = load_fixture(str(path))
+        assert (fix.target_r0, fix.target_r1) == (1, 2)
