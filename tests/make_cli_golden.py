@@ -127,6 +127,26 @@ def cases() -> list:
         ("verify", "--fixture", "@fixtures/domb_16n_linear_cong.fixture",
          "--mode", "numeric"),
     ]
+    out += [
+        # series sums at the edges of the domain
+        ("sum", "--sequence", "domb", "--numer", "1", "--denom", "n+2",
+         "--from", "-1", "--to", "3"),
+        ("sum", "--sequence", "domb", "--numer", "1", "--denom", "n+1",
+         "--from", "-1", "--to", "3"),
+        ("sum", "--sequence", "franel_example22", "--numer", "n",
+         "--from", "0", "--to", "6"),
+        ("sum", "--sequence", "franel_example22", "--numer", "n",
+         "--from", "2", "--to", "6"),
+        ("sum", "--sequence", "t_poly", "--numer", "n+1", "--denom", "2*n+3",
+         "--from", "0", "--to", "12"),
+        ("sum", "--sequence", "domb", "--numer", "1", "--from", "5", "--to", "4"),
+        ("verify", "--fixture", "@fixtures/domb_16n_linear_cong.fixture",
+         "--mode", "congruence", "--primes", "97,103,109"),
+        ("verify", "--fixture", "@fixtures/domb_16n_rational_cong.fixture",
+         "--mode", "congruence", "--primes", "5"),
+        ("verify", "--fixture", "@fixtures/domb_neg32_upper_sq.fixture",
+         "--mode", "numeric", "--N", "2000", "--accel", "none"),
+    ]
     return [list(argv) for argv in out]
 
 
