@@ -251,12 +251,7 @@ def _cmd_sum(args) -> int:
     denom = parse_polynomial(args.denom)
     if args.upper < args.lower:
         raise ValueError("--to must be at least --from")
-    total = Fraction(0)
-    for m in range(args.lower, args.upper + 1):
-        d = denom.evaluate(m)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at n = {m}")
-        total += numer.evaluate(m) / d * seq.eval(m)
+    total = sum(seq.series_terms(numer, denom, args.lower, args.upper), Fraction(0))
     _emit(args, [_render(total, args.format)],
           {"command": "sum", "sequence": args.sequence,
            "from": args.lower, "to": args.upper, "value": _body(total)})

@@ -22,6 +22,7 @@ SCHEMA = "holoreduce-v1"
 _MAX_DEGREE = 600
 _MAX_SHIFT = 512
 _MAX_EXPONENT = 4096
+_MAX_NESTING = 128
 
 _ZERO = Polynomial()
 _ONE = Polynomial.constant(1)
@@ -162,6 +163,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0  # parentheses open around the current token
 
     def peek(self):
         return self.tokens[self.idx]
@@ -227,10 +229,14 @@ class _Parser:
         if kind == "shift":
             return _Value({1: _ONE})
         if kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError("nesting too deep", pos)
             value = self.expr()
             closing, _, cpos = self.advance()
             if closing != ")":
                 raise ParseError("expected ')'", cpos, expected={")"})
+            self.depth -= 1
             return value
         raise ParseError("expected a value", pos,
                          expected={"integer", "n", "S", "("})

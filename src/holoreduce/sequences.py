@@ -30,7 +30,9 @@ class HolonomicSequence:
     override wins at its index, and where the leading coefficient
     vanishes the value comes from ``oracle``.  Exact values are cached
     for all callers (guarded by a lock, so concurrent eval is
-    linearizable).  Sequences may also be oracle-only (``operator=None``).
+    linearizable).  :meth:`series_terms` gives the summands
+    numer(n)/denom(n) * F(n) of every series the package checks.
+    Sequences may also be oracle-only (``operator=None``).
     """
 
     def __init__(self, operator, start_index, initial_values, name="",
@@ -53,11 +55,41 @@ class HolonomicSequence:
         self._lock = threading.Lock()
 
     def eval(self, n: int) -> Fraction:
-        if n < self.start_index:
-            raise IndexBelowStart(f"{n} is below start index {self.start_index}")
+        return self.values(n, n)[0]
+
+    def values(self, a: int, b: int) -> list:
+        """Exact values F(a), ..., F(b) inclusive."""
         with self._lock:
-            self._extend(self._cache, n, lambda v: v)
-            return self._cache[n - self.start_index]
+            return list(self._window(self._cache, a, b, lambda v: v))
+
+    def _window(self, values, a: int, b: int, convert):
+        """Iterate over F(a), ..., F(b) through ``convert``, on ``values``."""
+        start = self.start_index
+        if b < a:
+            return iter(())
+        if a < start:
+            raise IndexBelowStart(f"{a} is below start index {start}")
+        self._extend(values, b, convert)
+        return map(values.__getitem__, range(a - start, b - start + 1))
+
+    def series_terms(self, numer: Polynomial, denom: Polynomial, a: int, b: int,
+                     convert=None):
+        """Iterate over numer(n)/denom(n) * F(n), n = a..b: exact, from the
+        shared cache, or through ``convert`` (ints and Fractions to, say,
+        ``mpf``) on a private walk.  Each index checks the denominator before
+        F; the terms before the first failing index are yielded, then its
+        error is raised."""
+        # numer/denom is unchanged when both are scaled by one integer
+        _, (num_row, den_row) = integer_rows([numer, denom])
+        stop = next((n for n in range(a, b + 1) if not _horner(den_row, n)), b + 1)
+        if convert is None:
+            convert, fs = Fraction, self.values(a, stop - 1)
+        else:
+            fs = self._window([], a, stop - 1, convert)
+        for n, f in zip(range(a, stop), fs):
+            yield convert(_horner(num_row, n)) / _horner(den_row, n) * f
+        if stop <= b:
+            raise ZeroDivisionError(f"denominator vanishes at n = {stop}")
 
     def _extend(self, values, upto: int, convert) -> None:
         """Extend ``values``, which holds F(start_index), F(start_index+1),
@@ -91,10 +123,6 @@ class HolonomicSequence:
                         f"a_J({m}) = 0 and no override value for index {t}"
                     )
             values.append(convert(Fraction(self.oracle(t))))
-
-    def values(self, a: int, b: int) -> list:
-        """Exact values F(a), ..., F(b) inclusive."""
-        return [self.eval(m) for m in range(a, b + 1)]
 
 
 @dataclass(frozen=True)

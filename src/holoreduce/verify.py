@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
 
@@ -25,10 +25,11 @@ from .errors import (
 )
 from .exprio import parse_polynomial
 from .operators import ShiftOperator
-from .polynomials import Polynomial, _horner, integer_roots, integer_rows
+from .polynomials import Polynomial, integer_roots
 from .reduction import RationalReductionResult, rational_reduce
 from .sequences import get_sequence
 
+_ONE = Polynomial.constant(1)
 PRECISION_ENV = "HOLOREDUCE_PRECISION_BITS"
 DEFAULT_PRECISION_BITS = 96
 
@@ -159,27 +160,24 @@ def check_telescoping(seq, op: ShiftOperator, x: Polynomial, window) -> bool:
     a, b = window
     if b < a or a < seq.start_index:
         raise DomainViolation(f"window [{a}, {b}] outside domain of {seq.name}")
-    image = op.adjoint_apply(x)
     us = op.certificate(x)
-    lhs = sum((image.evaluate(m) * seq.eval(m) for m in range(a, b)), Fraction(0))
+    lhs = sum(seq.series_terms(op.adjoint_apply(x), _ONE, a, b - 1), Fraction(0))
+    values = seq.values(a, b + len(us) - 1)
+    return lhs == _boundary(us, values, a, a) - _boundary(us, values, a, b)
 
-    def boundary(m):
-        return sum(
-            (u.evaluate(m) * seq.eval(m + i) for i, u in enumerate(us)),
-            Fraction(0),
-        )
 
-    return lhs == boundary(a) - boundary(b)
+def _boundary(us, values, a: int, m: int) -> Fraction:
+    """The certificate's boundary term sum_i u_i(m) * values[m - a + i],
+    for ``values`` that start at index ``a``."""
+    return sum((u.evaluate(m) * values[m - a + i] for i, u in enumerate(us)),
+               Fraction(0))
 
 
 def first_valid_index(fix, rr: RationalReductionResult) -> int:
     """Smallest index where the reduced summand and certificate are defined."""
-    return _after_roots(rr.denominator, fix.start_index)
-
-
-def _after_roots(sp: Polynomial, start: int) -> int:
-    roots = [r for r in integer_roots(sp) if r >= start] if not sp.is_zero() else []
-    return max(roots) + 1 if roots else start
+    sp, start = rr.denominator, fix.start_index
+    roots = [] if sp.is_zero() else [r for r in integer_roots(sp) if r >= start]
+    return max(roots, default=start - 1) + 1
 
 
 def verify_identity_exact(fix, source, rr: RationalReductionResult,
@@ -196,34 +194,25 @@ def verify_identity_exact(fix, source, rr: RationalReductionResult,
     seq = _resolve(fix.sequence_key)
     sp = rr.denominator
 
-    if fix.recipe is not None:
-        if rr.remainder_numer != fix.recipe.scalar * fix.numer:
-            return False
-        if sp != fix.denom:
-            return False
-    q = source.numer * sp
+    if fix.recipe is not None and (
+            rr.remainder_numer != fix.recipe.scalar * fix.numer or sp != fix.denom):
+        return False
     if rr.derived_operator.adjoint_apply(rr.reduction.multiplier) \
-            + rr.remainder_numer != q:
+            + rr.remainder_numer != source.numer * sp:
         return False
 
     us = rr.reduction.certificate
-    a = max(_after_roots(sp, fix.start_index), source.start_index, seq.start_index)
-    values = seq.values(a, a + window_length + len(us))
-    g = [v / sp.evaluate(m) for m, v in enumerate(values, start=a)]
-
-    def t_value(m):
-        return -sum(
-            (u.evaluate(m) * g[m - a + i] for i, u in enumerate(us)), Fraction(0)
-        )
-
+    a = max(first_valid_index(fix, rr), source.start_index, seq.start_index)
+    last = a + window_length
+    g = list(seq.series_terms(_ONE, sp, a, last + len(us)))  # F / SP
+    terms = zip(range(a, last + 1),
+                seq.series_terms(source.numer, source.denom, a, last),
+                seq.series_terms(rr.remainder_numer, sp, a, last))
     diff_sum = Fraction(0)
-    t_a = t_value(a)
-    for b in range(a, a + window_length + 1):
-        diff_sum += (
-            source.numer.evaluate(b) / source.denom.evaluate(b) * values[b - a]
-            - rr.remainder_numer.evaluate(b) * g[b - a]
-        )
-        if diff_sum != t_value(b + 1) - t_a:
+    t_a = _boundary(us, g, a, a)
+    for b, src, rem in terms:
+        diff_sum += src - rem
+        if diff_sum != t_a - _boundary(us, g, a, b + 1):
             return False
     return True
 
@@ -242,8 +231,9 @@ def rederive(fix, source) -> RationalReductionResult:
     )
 
 
-def _to_mpf(q: Fraction):
-    return mpmath.mpf(q.numerator) / q.denominator
+def _to_mpf(q):  # a Fraction or an int
+    num, den = q.numerator, q.denominator
+    return mpmath.mpf(num) / den if den != 1 else mpmath.mpf(num)
 
 
 def numeric_series_check(fix: IdentityFixture, n_terms: int,
@@ -262,26 +252,18 @@ def numeric_series_check(fix: IdentityFixture, n_terms: int,
         raise DomainViolation(
             f"fixture starts at {fix.start_index}, sequence at {seq.start_index}")
     with mpmath.workprec(bits):
-        last = fix.start_index + n_terms - 1
-        values = []
-        seq._extend(values, last, _to_mpf)
-        # numer/denom is unchanged when both are scaled by one integer
-        _, (num_row, den_row) = integer_rows([fix.numer, fix.denom])
-        total = mpmath.mpf(0)
-        prev = total
+        total = prev = mpmath.mpf(0)
         max_mag = mpmath.mpf(0)
-        for n in range(fix.start_index, last + 1):
-            coef = mpmath.mpf(_horner(num_row, n)) / _horner(den_row, n)
+        for term in seq.series_terms(fix.numer, fix.denom, fix.start_index,
+                                     fix.start_index + n_terms - 1, _to_mpf):
             prev = total
-            total += coef * values[n - seq.start_index]
+            total += term
             max_mag = max(max_mag, abs(total))
         value = (total + prev) / 2 if accel == "average1" else total
         if max_mag > (abs(value) + 1) * mpmath.mpf(2) ** (bits - 20):
             raise PrecisionLoss(
                 f"partial sums reached {max_mag} against result {value}")
-        target = mpmath.mpf(fix.target_r0.numerator) / fix.target_r0.denominator
-        target += (mpmath.mpf(fix.target_r1.numerator)
-                   / fix.target_r1.denominator) / mpmath.pi
+        target = _to_mpf(fix.target_r0) + _to_mpf(fix.target_r1) / mpmath.pi
         return {
             "value": value,
             "target": target,
@@ -293,14 +275,7 @@ def numeric_series_check(fix: IdentityFixture, n_terms: int,
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _residue(q: Fraction, modulus: int) -> int:
@@ -320,13 +295,8 @@ def verify_congruence(fix: CongruenceFixture, primes) -> list:
             raise PrimeFilterViolation(
                 f"{p} is not a prime with p = {r} mod {mod}")
         modulus = p**fix.modulus_power
-        acc = 0
-        for n in range(fix.start_index, p):
-            den = fix.denom.evaluate(n)
-            if den == 0:
-                raise NonInvertibleDenominator(f"denominator vanishes at n = {n}")
-            term = fix.numer.evaluate(n) / den * seq.eval(n)
-            acc = (acc + _residue(term, modulus)) % modulus
+        terms = seq.series_terms(fix.numer, fix.denom, fix.start_index, p - 1)
+        acc = sum(_residue(t, modulus) for t in terms) % modulus
         target = _residue(fix.target, modulus)
         reports.append({
             "prime": p,

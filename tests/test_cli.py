@@ -51,6 +51,17 @@ class TestClassify:
         assert code == 0
         assert "degL=-1 CL=1" in out
 
+    def test_nesting_limit(self, capsys):
+        def nested(depth):
+            return "(" * depth + "S" + ")" * depth
+
+        code, out, _ = run(capsys, "classify", "--operator", nested(128))
+        assert code == 0 and out.startswith("degL=0")
+        for depth in (129, 200):
+            code, out, err = run(capsys, "classify", "--operator", nested(depth))
+            assert (code, out) == (2, "")
+            assert err == "error: nesting too deep at position 128\n"
+
     def test_parse_failure_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "--operator", "S +* 1")
         assert code == 2
@@ -232,6 +243,15 @@ class TestVerify:
                            "--mode", "congruence", "--primes", "7,13")
         assert code == 1
         assert "FAIL" in out
+
+    def test_numeric_vanishing_denominator_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "zero.fixture"
+        path.write_text("sequence = domb_over_neg32n\nnumer = 1\n"
+                        "denom = n - 3\ntarget = 1 + 2/pi\n")
+        code, out, err = run(capsys, "verify", "--fixture", str(path),
+                             "--mode", "numeric", "--N", "200")
+        assert (code, out) == (2, "")
+        assert err == "error: denominator vanishes at n = 3\n"
 
     def test_numeric_on_congruence_fixture_exits_2(self, capsys):
         code, _, err = run(capsys, "verify",

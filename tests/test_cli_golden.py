@@ -6,9 +6,14 @@ import json
 
 import pytest
 
-from make_cli_golden import GOLDEN_FILE, resolve, run
+from make_cli_golden import GOLDEN_FILE, cases, resolve, run
 
 ENTRIES = json.loads(GOLDEN_FILE.read_text())
+
+
+def test_generator_matches_golden_file():
+    # regenerating the golden file would neither add nor drop a command line
+    assert [e["argv"] for e in ENTRIES] == cases()
 
 
 def test_golden_covers_every_subcommand():

@@ -187,6 +187,20 @@ class TestLimits:
         assert r.numer == (N**2 + 1) ** 60
         assert r.denom == (N + 1) ** 60
 
+    @pytest.mark.parametrize(
+        "parse", [parse_operator, parse_polynomial, parse_rational_function])
+    def test_nesting_limit(self, parse):
+        def nested(depth):
+            return "(" * depth + "n" + ")" * depth
+
+        assert parse(nested(128)) == parse("n")
+        # sibling groups do not add up
+        assert parse(nested(128) + "+" + nested(128)) == parse("2*n")
+        assert_parse_error(parse, nested(129), 128)
+        assert_parse_error(parse, "1 + " + nested(129), 132)
+        # deep enough to exhaust the interpreter's stack without the limit
+        assert_parse_error(parse, "(" * 200 + "S" + ")" * 200, 128)
+
 
 # -- differential test against rational-function arithmetic ----------------
 #

@@ -159,6 +159,65 @@ class TestNumericChannel:
             numeric_values(HolonomicSequence(op, 0, [1, 1]), 5)
 
 
+class TestSeriesTerms:
+    def test_exact_terms(self):
+        seq = get_sequence("domb")
+        terms = list(seq.series_terms(3 * N + 1, N + 2, 0, 20))
+        assert terms == [Fraction(3 * m + 1, m + 2) * domb_number(m)
+                         for m in range(21)]
+
+    def test_rational_coefficients(self):
+        # numer and denom are scaled by one integer, not each on its own
+        seq = get_sequence("harmonic_m1")
+        terms = list(seq.series_terms(N / 3 + Fraction(1, 2), N / 5 + 1, 1, 9))
+        assert terms == [(Fraction(m, 3) + Fraction(1, 2)) / (Fraction(m, 5) + 1)
+                         * harmonic_number(m) for m in range(1, 10)]
+
+    def test_empty_window(self):
+        seq = get_sequence("domb")
+        assert list(seq.series_terms(N, N - 3, 5, 4)) == []
+        assert list(seq.series_terms(N, N - 3, -5, -6)) == []
+
+    def test_denominator_checked_before_index(self):
+        seq = get_sequence("domb")
+        with pytest.raises(ZeroDivisionError, match=r"^denominator vanishes at n = -1$"):
+            list(seq.series_terms(Polynomial([1]), N + 1, -1, 3))
+        with pytest.raises(IndexBelowStart, match=r"^-1 is below start index 0$"):
+            list(seq.series_terms(Polynomial([1]), N + 2, -1, 3))
+
+    def test_terms_before_failing_index_are_yielded(self):
+        terms = get_sequence("domb").series_terms(Polynomial([1]), N - 3, 0, 6)
+        assert [next(terms) for _ in range(3)] == [Fraction(-1, 3), -2, -28]
+        with pytest.raises(ZeroDivisionError, match=r"^denominator vanishes at n = 3$"):
+            next(terms)
+
+    def test_singular_point_after_vanishing_denominator(self):
+        # the denominator at 4 is reached before the singular index 5
+        op = ShiftOperator([Polynomial([1]), Polynomial([1]), N - 3])
+        seq = HolonomicSequence(op, 0, [1, 1])
+        with pytest.raises(ZeroDivisionError, match="n = 4"):
+            list(seq.series_terms(Polynomial([1]), N - 4, 0, 6))
+        with pytest.raises(SingularLeadingCoefficient):
+            list(seq.series_terms(Polynomial([1]), N - 6, 0, 6))
+
+    def test_mpf_terms(self):
+        seq = get_sequence("domb_over_neg32n")
+        exact = list(seq.series_terms(3 * N + 1, N + 2, 0, 300))
+        with mpmath.workprec(96):
+            approx = list(seq.series_terms(3 * N + 1, N + 2, 0, 300, _to_mpf))
+            bound = mpmath.mpf(2) ** -80
+            for e, v in zip(exact, approx, strict=True):
+                assert abs(v - _to_mpf(e)) <= bound * abs(_to_mpf(e))
+
+    def test_values_window(self):
+        seq = get_sequence("franel")
+        assert seq.values(3, 6) == [franel_number(m) for m in range(3, 7)]
+        assert seq.values(3, 2) == []
+        assert seq.values(-5, -6) == []
+        with pytest.raises(IndexBelowStart, match=r"^-1 is below start index 0$"):
+            seq.values(-1, 2)
+
+
 class TestCatalog:
     def test_keys(self):
         keys = {e.key for e in catalog()}

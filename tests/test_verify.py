@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import mpmath
 import pytest
@@ -27,10 +29,21 @@ from holoreduce.errors import (
     HoloreduceError,
     MismatchedSequence,
     NonInvertibleDenominator,
+    ParseError,
+    PrecisionLoss,
     PrimeFilterViolation,
 )
+from holoreduce.polynomials import _horner, integer_roots, integer_rows
 from holoreduce.sequences import DOMB_16N_OPERATOR, catalog
-from holoreduce.verify import _parse_target, _to_mpf, first_valid_index
+from holoreduce.verify import (
+    _parse_target,
+    _residue,
+    _resolve,
+    _to_mpf,
+    first_valid_index,
+    is_prime,
+    precision_bits,
+)
 
 from conftest import N
 
@@ -469,3 +482,350 @@ class TestFixtureParserFuzz:
         path.write_text("sequence = domb\nnumer = n\ntarget = 1 + 2/pi\n")
         fix = load_fixture(str(path))
         assert (fix.target_r0, fix.target_r1) == (1, 2)
+
+
+# -- every series term through HolonomicSequence.series_terms ---------------
+#
+# The summand loops that series_terms replaced, kept verbatim as the
+# oracle: cli._cmd_sum, check_telescoping, verify_identity_exact,
+# numeric_series_check and verify_congruence, with the two helpers
+# (_after_roots, is_prime) that changed alongside them.
+
+
+def _reference_sum(seq, numer, denom, lower, upper):
+    total = Fraction(0)
+    for m in range(lower, upper + 1):
+        d = denom.evaluate(m)
+        if d == 0:
+            raise ZeroDivisionError(f"denominator vanishes at n = {m}")
+        total += numer.evaluate(m) / d * seq.eval(m)
+    return total
+
+
+def _reference_check_telescoping(seq, op, x, window):
+    seq = _resolve(seq)
+    a, b = window
+    if b < a or a < seq.start_index:
+        raise DomainViolation(f"window [{a}, {b}] outside domain of {seq.name}")
+    image = op.adjoint_apply(x)
+    us = op.certificate(x)
+    lhs = sum((image.evaluate(m) * seq.eval(m) for m in range(a, b)), Fraction(0))
+
+    def boundary(m):
+        return sum(
+            (u.evaluate(m) * seq.eval(m + i) for i, u in enumerate(us)),
+            Fraction(0),
+        )
+
+    return lhs == boundary(a) - boundary(b)
+
+
+def _reference_after_roots(sp, start):
+    roots = [r for r in integer_roots(sp) if r >= start] if not sp.is_zero() else []
+    return max(roots) + 1 if roots else start
+
+
+def _reference_verify_identity_exact(fix, source, rr, window_length=200):
+    if window_length < 0:
+        raise ValueError(f"window length must be >= 0, got {window_length}")
+    if fix.sequence_key != source.sequence_key:
+        raise MismatchedSequence(
+            f"{fix.sequence_key} vs {source.sequence_key}")
+    seq = _resolve(fix.sequence_key)
+    sp = rr.denominator
+
+    if fix.recipe is not None:
+        if rr.remainder_numer != fix.recipe.scalar * fix.numer:
+            return False
+        if sp != fix.denom:
+            return False
+    q = source.numer * sp
+    if rr.derived_operator.adjoint_apply(rr.reduction.multiplier) \
+            + rr.remainder_numer != q:
+        return False
+
+    us = rr.reduction.certificate
+    a = max(_reference_after_roots(sp, fix.start_index), source.start_index,
+            seq.start_index)
+    values = seq.values(a, a + window_length + len(us))
+    g = [v / sp.evaluate(m) for m, v in enumerate(values, start=a)]
+
+    def t_value(m):
+        return -sum(
+            (u.evaluate(m) * g[m - a + i] for i, u in enumerate(us)), Fraction(0)
+        )
+
+    diff_sum = Fraction(0)
+    t_a = t_value(a)
+    for b in range(a, a + window_length + 1):
+        diff_sum += (
+            source.numer.evaluate(b) / source.denom.evaluate(b) * values[b - a]
+            - rr.remainder_numer.evaluate(b) * g[b - a]
+        )
+        if diff_sum != t_value(b + 1) - t_a:
+            return False
+    return True
+
+
+def _reference_numeric_series_check(fix, n_terms, accel="average1", precision=None):
+    if n_terms < 100:
+        raise ValueError("need at least 100 terms")
+    if accel not in ("none", "average1"):
+        raise ValueError(f"unknown acceleration {accel!r}")
+    bits = precision if precision is not None else precision_bits()
+    seq = _resolve(fix.sequence_key)
+    if fix.start_index < seq.start_index:
+        raise DomainViolation(
+            f"fixture starts at {fix.start_index}, sequence at {seq.start_index}")
+    with mpmath.workprec(bits):
+        last = fix.start_index + n_terms - 1
+        values = []
+        seq._extend(values, last, _to_mpf)
+        # numer/denom is unchanged when both are scaled by one integer
+        _, (num_row, den_row) = integer_rows([fix.numer, fix.denom])
+        total = mpmath.mpf(0)
+        prev = total
+        max_mag = mpmath.mpf(0)
+        for n in range(fix.start_index, last + 1):
+            coef = mpmath.mpf(_horner(num_row, n)) / _horner(den_row, n)
+            prev = total
+            total += coef * values[n - seq.start_index]
+            max_mag = max(max_mag, abs(total))
+        value = (total + prev) / 2 if accel == "average1" else total
+        if max_mag > (abs(value) + 1) * mpmath.mpf(2) ** (bits - 20):
+            raise PrecisionLoss(
+                f"partial sums reached {max_mag} against result {value}")
+        target = mpmath.mpf(fix.target_r0.numerator) / fix.target_r0.denominator
+        target += (mpmath.mpf(fix.target_r1.numerator)
+                   / fix.target_r1.denominator) / mpmath.pi
+        return {
+            "value": value,
+            "target": target,
+            "abs_error": abs(value - target),
+            "terms": n_terms,
+            "precision_bits": bits,
+            "accel": accel,
+        }
+
+
+def _reference_is_prime(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def _reference_verify_congruence(fix, primes):
+    reports = []
+    seq = _resolve(fix.sequence_key)
+    r, mod = fix.prime_residue
+    for p in sorted(primes):
+        if not _reference_is_prime(p) or p % mod != r % mod:
+            raise PrimeFilterViolation(
+                f"{p} is not a prime with p = {r} mod {mod}")
+        modulus = p**fix.modulus_power
+        acc = 0
+        for n in range(fix.start_index, p):
+            den = fix.denom.evaluate(n)
+            if den == 0:
+                raise NonInvertibleDenominator(f"denominator vanishes at n = {n}")
+            term = fix.numer.evaluate(n) / den * seq.eval(n)
+            acc = (acc + _residue(term, modulus)) % modulus
+        target = _residue(fix.target, modulus)
+        reports.append({
+            "prime": p,
+            "modulus": modulus,
+            "residue": acc,
+            "target": target,
+            "ok": acc == target,
+        })
+    return reports
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the class and message of its error."""
+    try:
+        return fn(*args)
+    except Exception as err:  # noqa: BLE001 - the class is what is compared
+        return type(err), str(err)
+
+
+_KEYS = sorted(entry.key for entry in catalog())
+_OPERATOR_KEYS = [k for k in _KEYS if get_sequence(k).operator is not None]
+_COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+_POLYS = st.lists(_COEFFS, max_size=4).map(Polynomial)
+
+
+@st.composite
+def _summands(draw, keys=_KEYS):
+    """(sequence key, numer, denom, a, b): windows start below, at or above
+    the sequence's start index, and some denominators have integer roots
+    inside the window."""
+    key = draw(st.sampled_from(keys))
+    a = get_sequence(key).start_index + draw(st.integers(-3, 5))
+    b = a + draw(st.integers(-2, 24))
+    # a root a multiple of p away from an index makes a term that has no
+    # inverse mod p^2 in verify_congruence
+    roots = st.lists(st.integers(a - 2, b + 14), min_size=1, max_size=3)
+    denom = draw(st.one_of(
+        st.just(Polynomial([1])),
+        _POLYS,
+        st.tuples(_COEFFS.filter(bool), roots).map(
+            lambda cr: cr[0] * prod((N - r for r in cr[1]), start=Polynomial([1]))),
+    ))
+    return key, draw(_POLYS), denom, a, b
+
+
+_IDENTITY_FIXTURES = ["domb_neg32_base", "domb_neg32_lower_cube",
+                      "domb_neg32_lower_sq", "domb_neg32_upper_cube",
+                      "domb_neg32_upper_sq", "domb_neg32_upper_sq_order3"]
+# every fixture that records how it was derived
+_RECIPE_FIXTURES = _IDENTITY_FIXTURES[1:] + ["domb_16n_rational_cong"]
+
+
+class TestSeriesTermsDifferential:
+    @given(case=_summands())
+    @settings(max_examples=400, deadline=None)
+    def test_sum(self, case):
+        key, numer, denom, a, b = case
+        seq = get_sequence(key)
+        want = _outcome(_reference_sum, seq, numer, denom, a, b)
+        got = _outcome(lambda: sum(seq.series_terms(numer, denom, a, b),
+                                   Fraction(0)))
+        assert got == want
+
+    @given(case=_summands(_OPERATOR_KEYS), x=_POLYS)
+    @settings(max_examples=200, deadline=None)
+    def test_check_telescoping(self, case, x):
+        key, _, _, a, b = case
+        seq = get_sequence(key)
+        args = (seq, seq.operator, x, (a, b))
+        assert _outcome(check_telescoping, *args) == \
+            _outcome(_reference_check_telescoping, *args)
+
+    @given(case=_summands(), target=_COEFFS,
+           primes=st.lists(st.sampled_from([5, 7, 13, 19, 31, 37, 49]),
+                           max_size=3, unique=True))
+    @settings(max_examples=300, deadline=None)
+    def test_congruence(self, case, target, primes):
+        key, numer, denom, a, _ = case
+        fix = CongruenceFixture(sequence_key=key, numer=numer, denom=denom,
+                                start_index=a, target=target)
+        want = _outcome(_reference_verify_congruence, fix, primes)
+        if isinstance(want, tuple) and want[0] is NonInvertibleDenominator \
+                and "vanishes" in want[1]:
+            # the one declared change: a vanishing denominator is a
+            # ZeroDivisionError, as in every other channel
+            want = (ZeroDivisionError, want[1])
+        assert _outcome(verify_congruence, fix, primes) == want
+
+    @pytest.mark.parametrize("name", _RECIPE_FIXTURES)
+    def test_identity_exact(self, name):
+        fix = fixture(name)
+        seq = get_sequence(fix.sequence_key)
+        source = IdentityFixture(
+            sequence_key=fix.sequence_key, numer=fix.recipe.source_numer,
+            denom=Polynomial([1]), start_index=seq.start_index,
+            target_r0=Fraction(0), target_r1=Fraction(0))
+        rr = rederive(fix, source)
+        a = first_valid_index(fix, rr)
+        sources = [
+            source,
+            replace(source, start_index=a + 3),
+            replace(source, denom=N + 100),      # fails inside the window
+            replace(source, denom=N - (a + 3)),  # fails before it vanishes
+            replace(source, numer=source.numer + 1),
+        ]
+        for src in sources:
+            for window in (-1, 0, 1, 7, 40):
+                args = (fix, src, rr, window)
+                assert _outcome(verify_identity_exact, *args) == \
+                    _outcome(_reference_verify_identity_exact, *args)
+        assert verify_identity_exact(fix, source, rr, 40)
+
+    @pytest.mark.parametrize("bits", [96, 192])
+    def test_numeric_bit_identical(self, bits):
+        def bits_of(report):
+            return {k: v._mpf_ if isinstance(v, mpmath.mpf) else v
+                    for k, v in report.items()}
+
+        for name in _IDENTITY_FIXTURES:
+            fix = fixture(name)
+            for accel in ("none", "average1"):
+                args = (fix, 2000, accel, bits)
+                assert bits_of(numeric_series_check(*args)) == \
+                    bits_of(_reference_numeric_series_check(*args)), (name, accel)
+
+    @pytest.mark.parametrize("bits", [96, 192])
+    def test_numeric_terms_bit_identical(self, bits):
+        # a sum can absorb a one-ulp change in a term, so compare the terms
+        # with the arithmetic of the loop in _reference_numeric_series_check
+        for name in _IDENTITY_FIXTURES:
+            fix = fixture(name)
+            seq = get_sequence(fix.sequence_key)
+            last = fix.start_index + 1999
+            with mpmath.workprec(bits):
+                values = []
+                seq._extend(values, last, _to_mpf)
+                _, (num_row, den_row) = integer_rows([fix.numer, fix.denom])
+                want = [mpmath.mpf(_horner(num_row, n)) / _horner(den_row, n)
+                        * values[n - seq.start_index]
+                        for n in range(fix.start_index, last + 1)]
+                got = list(seq.series_terms(fix.numer, fix.denom,
+                                            fix.start_index, last, _to_mpf))
+            assert [t._mpf_ for t in got] == [t._mpf_ for t in want], name
+
+    @pytest.mark.parametrize("name", ["domb_16n_linear_cong",
+                                      "domb_16n_rational_cong"])
+    def test_congruence_every_prime_to_1500(self, name):
+        primes = [p for p in range(7, 1501, 6) if _reference_is_prime(p)]
+        assert len(primes) == 115
+        fix = fixture(name)
+        assert verify_congruence(fix, primes) == \
+            _reference_verify_congruence(fix, primes)
+
+    def test_is_prime(self):
+        assert [p for p in range(-3, 5000) if is_prime(p)] == \
+            [p for p in range(-3, 5000) if _reference_is_prime(p)]
+
+
+class TestVanishingDenominator:
+    def test_numeric(self):
+        fix = IdentityFixture(
+            sequence_key="domb_over_neg32n", numer=Polynomial([1]), denom=N - 3,
+            start_index=0, target_r0=Fraction(1), target_r1=Fraction(2))
+        with pytest.raises(ZeroDivisionError, match=r"^denominator vanishes at n = 3$"):
+            numeric_series_check(fix, 200)
+
+    def test_congruence(self):
+        fix = CongruenceFixture(
+            sequence_key="domb_over_16n", numer=Polynomial([1]), denom=N - 3,
+            start_index=0, target=Fraction(0))
+        with pytest.raises(ZeroDivisionError, match=r"^denominator vanishes at n = 3$"):
+            verify_congruence(fix, [7])
+
+    def test_congruence_error_order(self):
+        # at n = 3 the term 1/((3-5)(3-10)) * F(3) = 1/224 has no inverse
+        # mod 49; that comes before the denominator vanishing at n = 5
+        fix = CongruenceFixture(
+            sequence_key="domb_over_16n", numer=Polynomial([1]),
+            denom=(N - 5) * (N - 10), start_index=0, target=Fraction(0))
+        with pytest.raises(NonInvertibleDenominator, match="224"):
+            verify_congruence(fix, [7])
+
+
+def test_load_fixture_nesting_limit(tmp_path):
+    path = tmp_path / "deep.fixture"
+    for depth, ok in ((128, True), (129, False)):
+        numer = "(" * depth + "n" + ")" * depth
+        path.write_text(f"sequence = domb\nnumer = {numer}\ntarget = 1 + 2/pi\n")
+        if ok:
+            assert load_fixture(str(path)).numer == N
+        else:
+            with pytest.raises(ParseError) as err:
+                load_fixture(str(path))
+            assert err.value.position == 128
