@@ -11,8 +11,6 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from .errors import (
     HoloreduceError,
     IrreducibleAtThisI,
@@ -156,10 +154,12 @@ def _cmd_verify(args) -> int:
         if not isinstance(fix, IdentityFixture):
             raise ValueError("numeric mode needs an identity fixture")
         report = numeric_series_check(fix, args.n_terms, accel=args.accel)
+        from mpmath import libmp, nstr  # only this command needs mpmath
+
         ok = report["abs_error"] <= args.tol
         # enough digits to read value and target back at the working precision
-        digits = mpmath.libmp.repr_dps(report["precision_bits"])
-        value, target = (mpmath.nstr(report[k], digits) for k in ("value", "target"))
+        digits = libmp.repr_dps(report["precision_bits"])
+        value, target = (nstr(report[k], digits) for k in ("value", "target"))
         lines = [
             f"value = {value}",
             f"target = {target}",

@@ -19,6 +19,9 @@ from .operators import ShiftOperator
 from .polynomials import Polynomial, _horner, integer_rows
 
 _n = Polynomial.variable()
+# Indices per step of a private series_terms walk: a consumer that stops
+# early pays for at most this many values it does not read.
+_BLOCK = 64
 
 
 class HolonomicSequence:
@@ -75,21 +78,26 @@ class HolonomicSequence:
     def series_terms(self, numer: Polynomial, denom: Polynomial, a: int, b: int,
                      convert=None):
         """Iterate over numer(n)/denom(n) * F(n), n = a..b: exact, from the
-        shared cache, or through ``convert`` (ints and Fractions to, say,
-        ``mpf``) on a private walk.  Each index checks the denominator before
-        F; the terms before the first failing index are yielded, then its
-        error is raised."""
+        shared cache in one read, or through ``convert`` (ints and Fractions
+        to, say, ``mpf``) on a private walk that runs only as far as the
+        terms are consumed, in blocks of ``_BLOCK`` indices.  Each index
+        checks the denominator before F; the terms before the first failing
+        index are yielded, then its error is raised."""
         # numer/denom is unchanged when both are scaled by one integer
         _, (num_row, den_row) = integer_rows([numer, denom])
-        stop = next((n for n in range(a, b + 1) if not _horner(den_row, n)), b + 1)
         if convert is None:
-            convert, fs = Fraction, self.values(a, stop - 1)
+            convert, block, read = Fraction, max(b - a + 1, 1), self.values
         else:
-            fs = self._window([], a, stop - 1, convert)
-        for n, f in zip(range(a, stop), fs):
-            yield convert(_horner(num_row, n)) / _horner(den_row, n) * f
-        if stop <= b:
-            raise ZeroDivisionError(f"denominator vanishes at n = {stop}")
+            values, block = [], _BLOCK
+            def read(lo, hi):
+                return self._window(values, lo, hi, convert)
+        for lo in range(a, b + 1, block):
+            dens = [_horner(den_row, n) for n in range(lo, min(lo + block, b + 1))]
+            stop = lo + (dens.index(0) if 0 in dens else len(dens))
+            for n, d, f in zip(range(lo, stop), dens, read(lo, stop - 1)):
+                yield convert(_horner(num_row, n)) / d * f
+            if stop < lo + len(dens):
+                raise ZeroDivisionError(f"denominator vanishes at n = {stop}")
 
     def _extend(self, values, upto: int, convert) -> None:
         """Extend ``values``, which holds F(start_index), F(start_index+1),

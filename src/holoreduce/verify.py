@@ -10,11 +10,10 @@ Three verification channels:
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-
-import mpmath
 
 from .errors import (
     DomainViolation,
@@ -232,16 +231,143 @@ def rederive(fix, source) -> RationalReductionResult:
 
 
 def _to_mpf(q):  # a Fraction or an int
+    import mpmath  # only the numeric channel needs it; it slows start-up
+
     num, den = q.numerator, q.denominator
     return mpmath.mpf(num) / den if den != 1 else mpmath.mpf(num)
+
+
+# How much |numer/denom| may grow from one index to the next in the tail.
+_SIGMA = Fraction(33, 32)
+
+
+def _positive_part(p: Polynomial) -> Polynomial:
+    """p or -p, whichever has a positive leading coefficient."""
+    return p if p.leading_coefficient > 0 else -p
+
+
+def _positive_from(p: Polynomial, m: int) -> bool:
+    """Every coefficient of p(m + x) is >= 0 and p(m) > 0, so p > 0 on
+    [m, oo).  Shifting by k >= 0 keeps coefficients nonnegative, so this
+    also holds at every index after m."""
+    cs = p.shift(m).coeffs
+    return cs[0] > 0 and min(cs) >= 0
+
+
+def _tail_certificate(seq, numer: Polynomial, denom: Polynomial, lo: int,
+                      last: int, bits: int):
+    """The simple contracting case of Mezzarobba and Salvy, "Effective
+    bounds for P-recursive sequences" (JSC 2010), for the series
+    sum numer(n)/denom(n) * F(n): the least m0 in [lo, last - J] (so that
+    a stop before ``last`` stays possible) such that, for every m >= m0,
+    the rows a_0..a_J of the operator of F, numer and denom keep their
+    signs, sum_{i<J} |a_i(m)| <= rho |a_J(m)| and |h(m+1)| <= SIGMA |h(m)|
+    for h = numer/denom.  Here rho = (3L + 1)/4
+    for the limit L of the ratio, and SIGMA^J rho (1 + u)^(J+1) < 1 for
+    u = 2^-bits.  Returns (m0, rho), or a string saying why there is no
+    certificate."""
+    if seq.operator is None:
+        return "the sequence has no recurrence"
+    if not numer or not denom:
+        return "numer or denom is zero"
+    *low, lead = (_positive_part(a) if a else a for a in seq.operator.coeffs)
+    j = len(low)
+    if j == 0:
+        return "the recurrence has order 0"
+    hi = last - j
+    if any(a.degree > lead.degree for a in low if a):
+        return "sum |a_i| / |a_J| is unbounded"
+    limit = sum((a.leading_coefficient for a in low if a.degree == lead.degree),
+                Fraction(0)) / lead.leading_coefficient
+    if limit >= 1:
+        return f"sum |a_i| / |a_J| tends to {limit} >= 1"
+    rho = (3 * limit + 1) / 4
+    # a step of the recurrence rounds J + 1 times
+    if _SIGMA**j * rho * (1 + Fraction(1, 2**bits))**(j + 1) >= 1:
+        return f"rho = {rho} is too close to 1"
+    num, den = _positive_part(numer), _positive_part(denom)
+    # the two inequalities first: they fail longest, and holds() stops early
+    checks = [num * den.shift(1) * _SIGMA - num.shift(1) * den,
+              lead * rho - sum(low, Polynomial()),
+              lead, num, den, *(a for a in low if a)]
+
+    def holds(m):
+        return all(_positive_from(p, m) for p in checks)
+
+    if hi < lo or not holds(hi):
+        return f"no m0 in [{lo}, {hi}]"
+    bad, good, step = lo - 1, hi, 1  # holds(good), and not holds(bad) or bad < lo
+    while bad + step < good:
+        if holds(bad + step):
+            good = bad + step
+            break
+        bad, step = bad + step, 2 * step
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        bad, good = (bad, mid) if holds(mid) else (mid, good)
+    late = [k for k in seq.overrides if k >= good]
+    if late:
+        return f"override at index {min(late)} >= m0 = {good}"
+    return good, rho
+
+
+def _tail_stop(seq, fix: IdentityFixture, last: int, bits: int):
+    """``(done, note)``: ``done(n, term, total)``, called after the term at
+    each index n has been added, is true when no later term up to ``last``
+    can change ``total``, or ``done`` is None when the tail is not
+    certified; ``note`` says which, for the log.
+
+    With the certificate of :func:`_tail_certificate` and M = max |term|
+    over the J terms up to n >= m0 + J - 1, |h(n)| times each of the last
+    J values of F is at most SIGMA^(J-1) M / (1-u)^3, as a term rounds 3
+    times.  A step of the recurrence rounds J + 1 times, so each later
+    value of F is at most rho (1+u)^(J+1) times the largest of the J
+    before it, and every later term, as computed, is at most
+    B = SIGMA^(2J-1) rho M (1+u)^(J+4) / (1-u)^3.  A term below a quarter
+    of an ulp of ``total`` leaves it unchanged under round-to-nearest, so
+    stopping once B is below an eighth of an ulp (the other half covers
+    the rounding of B) gives the full walk's result."""
+    import mpmath
+
+    cert = _tail_certificate(seq, fix.numer, fix.denom, fix.start_index, last,
+                             bits)
+    if isinstance(cert, str):
+        return None, f"no tail certificate: {cert}"
+    m0, rho = cert
+    j = seq.operator.order
+    u = Fraction(1, 2**bits)
+    factor = _to_mpf(_SIGMA**(2 * j - 1) * rho * (1 + u)**(j + 4) / (1 - u)**3)
+    recent = deque(maxlen=j)
+
+    def done(n, term, total):
+        recent.append(abs(term))
+        if n < m0 + j - 1 or n >= last or not total:
+            return False
+        _, _, exp, bc = total._mpf_
+        return factor * max(recent) < mpmath.ldexp(1, exp + bc - bits - 3)
+
+    return done, f"tail certified from m0 = {m0} with rho = {rho}"
 
 
 def numeric_series_check(fix: IdentityFixture, n_terms: int,
                          accel: str = "average1",
                          precision: int | None = None) -> dict:
-    """Partial sum of the fixture series in >= 64-bit binary floating
-    point, optionally averaging the last two partial sums, compared
-    against r0 + r1/pi."""
+    """Partial sum of the first ``n_terms`` terms of the fixture series in
+    >= 64-bit binary floating point, optionally averaging the last two
+    partial sums, compared against r0 + r1/pi.
+
+    Where the tail contracts (see :func:`_tail_certificate`), the walk
+    stops once every remaining term is certified to be below an eighth of
+    an ulp of the partial sum: adding such terms leaves the sum unchanged,
+    so the report is bit-identical to that of the full walk.  Otherwise
+    (no recurrence, a ratio limit of 1 or more, numer = 0, an override
+    past the certified index, ...) every term is summed.  A debug record
+    on the ``holoreduce.verify`` logger gives the terms summed and the
+    certificate or the reason there is none."""
+    import logging
+
+    import mpmath
+
     if n_terms < 100:
         raise ValueError("need at least 100 terms")
     if accel not in ("none", "average1"):
@@ -251,14 +377,22 @@ def numeric_series_check(fix: IdentityFixture, n_terms: int,
     if fix.start_index < seq.start_index:
         raise DomainViolation(
             f"fixture starts at {fix.start_index}, sequence at {seq.start_index}")
+    start, last = fix.start_index, fix.start_index + n_terms - 1
     with mpmath.workprec(bits):
+        done, note = _tail_stop(seq, fix, last, bits)
         total = prev = mpmath.mpf(0)
         max_mag = mpmath.mpf(0)
-        for term in seq.series_terms(fix.numer, fix.denom, fix.start_index,
-                                     fix.start_index + n_terms - 1, _to_mpf):
+        for n, term in enumerate(seq.series_terms(fix.numer, fix.denom, start,
+                                                  last, _to_mpf), start):
             prev = total
             total += term
             max_mag = max(max_mag, abs(total))
+            if done is not None and done(n, term, total):
+                prev = total  # the full walk's last addition leaves total
+                break
+        logging.getLogger(__name__).debug(
+            "numeric series %s: summed %d of %d terms; %s",
+            fix.label or fix.sequence_key, n - start + 1, n_terms, note)
         value = (total + prev) / 2 if accel == "average1" else total
         if max_mag > (abs(value) + 1) * mpmath.mpf(2) ** (bits - 20):
             raise PrecisionLoss(
@@ -290,13 +424,24 @@ def verify_congruence(fix: CongruenceFixture, primes) -> list:
     reports = []
     seq = _resolve(fix.sequence_key)
     r, mod = fix.prime_residue
+    start = fix.start_index
+    terms = []  # the terms from start on, grown as the sorted primes need them
     for p in sorted(primes):
         if not is_prime(p) or p % mod != r % mod:
             raise PrimeFilterViolation(
                 f"{p} is not a prime with p = {r} mod {mod}")
         modulus = p**fix.modulus_power
-        terms = seq.series_terms(fix.numer, fix.denom, fix.start_index, p - 1)
-        acc = sum(_residue(t, modulus) for t in terms) % modulus
+        vanishing = None
+        try:
+            terms.extend(seq.series_terms(fix.numer, fix.denom,
+                                          start + len(terms), p - 1))
+        except ZeroDivisionError as err:
+            if fix.denom.evaluate(start + len(terms)):
+                raise  # not the denominator: an error of F comes first
+            vanishing = err  # raised after the residues of the terms before it
+        acc = sum(_residue(t, modulus) for t in terms[:max(p - start, 0)]) % modulus
+        if vanishing is not None:
+            raise vanishing
         target = _residue(fix.target, modulus)
         reports.append({
             "prime": p,

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import holoreduce
 from holoreduce import (
     Polynomial,
     ShiftOperator,
@@ -345,3 +350,16 @@ class TestExitCodeMatrix:
         with pytest.raises(SystemExit) as err:
             main(["classify"])  # missing --operator
         assert err.value.code == 2
+
+
+def test_import_leaves_mpmath_out():
+    # mpmath is a third of the start-up of every command; only numeric
+    # verification needs it
+    src = str(Path(holoreduce.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, holoreduce.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "False\n"

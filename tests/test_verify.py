@@ -1,10 +1,12 @@
+import logging
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from holoreduce import (
@@ -32,13 +34,16 @@ from holoreduce.errors import (
     ParseError,
     PrecisionLoss,
     PrimeFilterViolation,
+    SingularLeadingCoefficient,
 )
 from holoreduce.polynomials import _horner, integer_roots, integer_rows
-from holoreduce.sequences import DOMB_16N_OPERATOR, catalog
+from holoreduce.sequences import DOMB_16N_OPERATOR, DOMB_NEG32N_OPERATOR, catalog
 from holoreduce.verify import (
+    _SIGMA,
     _parse_target,
     _residue,
     _resolve,
+    _tail_certificate,
     _to_mpf,
     first_valid_index,
     is_prime,
@@ -829,3 +834,163 @@ def test_load_fixture_nesting_limit(tmp_path):
             with pytest.raises(ParseError) as err:
                 load_fixture(str(path))
             assert err.value.position == 128
+
+
+class TestCongruenceAcrossPrimes:
+    # one term list grows over the sorted primes; each prime still sees the
+    # errors in the order of a walk over its whole window
+
+    @pytest.mark.parametrize("c, primes, want", [
+        # 3/190 at n = 0 has no inverse mod 19^2: before n = 10
+        (19, [7, 19], NonInvertibleDenominator),
+        (12, [7, 19], ZeroDivisionError),
+        (12, [7, 19, 9], PrimeFilterViolation),
+    ])
+    def test_error_order(self, c, primes, want):
+        fix = CongruenceFixture(
+            sequence_key="domb_over_16n", numer=N - 3, denom=(N - 10) * (N + c),
+            start_index=0, target=Fraction(0))
+        got = _outcome(verify_congruence, fix, primes)
+        assert got[0] is want
+        ref = _outcome(_reference_verify_congruence, fix, primes)
+        if ref[0] is NonInvertibleDenominator and "vanishes" in ref[1]:
+            ref = (ZeroDivisionError, ref[1])
+        assert got == ref
+
+    def test_error_of_f_before_earlier_residues(self):
+        # every term is F(n)/31, which has no inverse mod 31^2; the index 22
+        # has no value (a_J(20) = 0, no oracle), and that error comes first
+        seq = HolonomicSequence(
+            ShiftOperator([Polynomial([1]), Polynomial([1]), N - 20]), 0, [1, 1])
+        fix = CongruenceFixture(sequence_key=seq, numer=Polynomial([Fraction(1, 31)]),
+                                denom=Polynomial([1]), start_index=0,
+                                target=Fraction(0))
+        assert verify_congruence(fix, [7])[0]["prime"] == 7
+        with pytest.raises(SingularLeadingCoefficient, match="index 22"):
+            verify_congruence(fix, [7, 31])
+
+
+def _bits_of(report):
+    return {k: v._mpf_ if isinstance(v, mpmath.mpf) else v
+            for k, v in report.items()}
+
+
+_SUMMED = re.compile(r"^numeric series (\S+): summed (\d+) of (\d+) terms; (.*)$")
+
+
+def _summed(caplog):
+    """(terms summed, terms requested, note) of each numeric check logged."""
+    out = []
+    for record in caplog.records:
+        if record.name == "holoreduce.verify":
+            _, k, n, note = _SUMMED.match(record.getMessage()).groups()
+            out.append((int(k), int(n), note))
+    return out
+
+
+def _check_certificate(seq, numer, denom, m0, rho, count):
+    """Both inequalities and the signs, evaluated at m0, ..., m0 + count."""
+    *low, lead = integer_rows(seq.operator.coeffs)[1]
+    _, (num, den) = integer_rows([numer, denom])
+    assert _SIGMA ** len(low) * rho < 1
+    for m in range(m0, m0 + count + 1):
+        for row in (lead, num, den, *(r for r in low if any(r))):
+            value = _horner(row, m)
+            assert value != 0 and (value > 0) == (row[-1] > 0), (row, m)
+        ratio = sum(abs(_horner(r, m)) for r in low)
+        assert ratio * rho.denominator <= rho.numerator * abs(_horner(lead, m))
+        h0 = abs(_horner(num, m)) * abs(_horner(den, m + 1))
+        h1 = abs(_horner(num, m + 1)) * abs(_horner(den, m))
+        assert h1 * _SIGMA.denominator <= _SIGMA.numerator * h0
+
+
+class TestCertifiedTail:
+    """numeric_series_check stops once the rest of the series cannot move
+    the partial sum; _reference_numeric_series_check walks every term."""
+
+    @given(bits=st.integers(64, 256), accel=st.sampled_from(["none", "average1"]))
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bit_identical_to_full_walk(self, caplog, bits, accel):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="holoreduce"):
+            for name in _IDENTITY_FIXTURES:
+                args = (fixture(name), 1000, accel, bits)
+                assert _bits_of(numeric_series_check(*args)) == \
+                    _bits_of(_reference_numeric_series_check(*args)), name
+        summed = _summed(caplog)
+        assert len(summed) == len(_IDENTITY_FIXTURES)
+        assert all(k < n for k, n, _ in summed), summed
+
+    def test_bit_identical_at_100000_terms(self, caplog):
+        args = (fixture("domb_neg32_base"), 100000)
+        with caplog.at_level(logging.DEBUG, logger="holoreduce"):
+            report = numeric_series_check(*args)
+        assert _bits_of(report) == _bits_of(_reference_numeric_series_check(*args))
+        assert report["terms"] == 100000
+        [(summed, requested, note)] = _summed(caplog)
+        assert summed < 200 and requested == 100000
+        assert note == "tail certified from m0 = 32 with rho = 49/64"
+
+    @pytest.mark.parametrize("name", _IDENTITY_FIXTURES)
+    def test_certificate_by_brute_force(self, name):
+        fix = fixture(name)
+        seq = get_sequence(fix.sequence_key)
+        cert = _tail_certificate(seq, fix.numer, fix.denom, fix.start_index,
+                                 fix.start_index + 99999, 96)
+        m0, rho = cert
+        assert fix.start_index <= m0 <= 40 and rho == Fraction(49, 64)
+        _check_certificate(seq, fix.numer, fix.denom, m0, rho, 5000)
+
+    @pytest.mark.parametrize("case", ["override", "ratio", "numer", "denom"])
+    def test_fallback_to_full_walk(self, caplog, case):
+        base = fixture("domb_neg32_base")
+        # F(300) = 1/1000 in place of about 2^-550 changes the sum
+        seq = HolonomicSequence(DOMB_NEG32N_OPERATOR, 0, [1, Fraction(-1, 8)],
+                                overrides={300: Fraction(1, 1000)})
+        fix, note = {
+            "override": (replace(base, sequence_key=seq),
+                         "override at index 300 >= m0 = 32"),
+            "ratio": (IdentityFixture(
+                sequence_key="harmonic_example23", numer=Polynomial([1]),
+                denom=Polynomial([1]), start_index=1, target_r0=Fraction(0),
+                target_r1=Fraction(0)), "sum |a_i| / |a_J| tends to 3 >= 1"),
+            "numer": (replace(base, numer=Polynomial()), "numer or denom is zero"),
+            "denom": (replace(base, denom=Polynomial()), None),
+        }[case]
+        for accel in ("none", "average1"):
+            args = (fix, 2000, accel, 96)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="holoreduce"):
+                got = _outcome(lambda: _bits_of(numeric_series_check(*args)))
+            if note is None:
+                # the reference divides by zero in mpmath, with no message
+                assert got == (ZeroDivisionError, "denominator vanishes at n = 0")
+                continue
+            assert got == _bits_of(_reference_numeric_series_check(*args))
+            assert _summed(caplog) == [(2000, 2000, f"no tail certificate: {note}")]
+        if case == "override":
+            assert got["value"] != _bits_of(numeric_series_check(base, 2000))["value"]
+
+    def test_vanishing_denominator_after_certified_index(self):
+        fix = IdentityFixture(
+            sequence_key="domb_over_neg32n", numer=Polynomial([1]), denom=N - 3000,
+            start_index=0, target_r0=Fraction(1), target_r1=Fraction(2))
+        m0, _ = _tail_certificate(get_sequence(fix.sequence_key), fix.numer,
+                                  fix.denom, 0, 3999, 96)
+        assert 3000 < m0 < 3999
+        with pytest.raises(ZeroDivisionError,
+                           match=r"^denominator vanishes at n = 3000$"):
+            numeric_series_check(fix, 4000)
+
+    def test_debug_record(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="holoreduce"):
+            numeric_series_check(fixture("domb_neg32_upper_sq"), 4000)
+        [record] = [r for r in caplog.records if r.name == "holoreduce.verify"]
+        assert record.levelno == logging.DEBUG
+        assert re.fullmatch(
+            r"numeric series domb_neg32_upper_sq: summed \d\d of 4000 terms;"
+            r" tail certified from m0 = \d+ with rho = 49/64", record.getMessage())
+        caplog.clear()
+        numeric_series_check(fixture("domb_neg32_upper_sq"), 4000)
+        assert not caplog.records  # nothing at the default level
