@@ -651,6 +651,11 @@ def _reference_verify_congruence(fix, primes):
     return reports
 
 
+def _bits_of(report):
+    return {k: v._mpf_ if isinstance(v, mpmath.mpf) else v
+            for k, v in report.items()}
+
+
 def _outcome(fn, *args):
     """The value of ``fn(*args)``, or the class and message of its error."""
     try:
@@ -754,16 +759,12 @@ class TestSeriesTermsDifferential:
 
     @pytest.mark.parametrize("bits", [96, 192])
     def test_numeric_bit_identical(self, bits):
-        def bits_of(report):
-            return {k: v._mpf_ if isinstance(v, mpmath.mpf) else v
-                    for k, v in report.items()}
-
         for name in _IDENTITY_FIXTURES:
             fix = fixture(name)
             for accel in ("none", "average1"):
                 args = (fix, 2000, accel, bits)
-                assert bits_of(numeric_series_check(*args)) == \
-                    bits_of(_reference_numeric_series_check(*args)), (name, accel)
+                assert _bits_of(numeric_series_check(*args)) == \
+                    _bits_of(_reference_numeric_series_check(*args)), (name, accel)
 
     @pytest.mark.parametrize("bits", [96, 192])
     def test_numeric_terms_bit_identical(self, bits):
@@ -868,11 +869,6 @@ class TestCongruenceAcrossPrimes:
         assert verify_congruence(fix, [7])[0]["prime"] == 7
         with pytest.raises(SingularLeadingCoefficient, match="index 22"):
             verify_congruence(fix, [7, 31])
-
-
-def _bits_of(report):
-    return {k: v._mpf_ if isinstance(v, mpmath.mpf) else v
-            for k, v in report.items()}
 
 
 _SUMMED = re.compile(r"^numeric series (\S+): summed (\d+) of (\d+) terms; (.*)$")
