@@ -31,6 +31,12 @@ DERIVED_16N = "2*(-1+n)*n*(1+n)^2 - n*(3+2*n)*(12+15*n+5*n^2)*S + 8*(2+n)^4*S^2"
 NEG32 = "(n+1)^3 + (2*n+3)*(5*n^2+15*n+12)*S + 16*(n+2)^3*S^2"
 DOMB_16N = "2*(n+1)^3 - (2*n+3)*(5*n^2+15*n+12)*S + 8*(n+2)^3*S^2"
 STUCK = "(2*n+2) - 2*S - (2*n+4)*S^2"
+# R_L = {0}: L*(1) vanishes, so the lower bound holds
+RL_VANISHES = "(1-n) + (n+1)*S"
+# R_L = {1}: L*(n) does not vanish, so the lower bound is invalid
+RL_LEAKS = "(n+1) - (n+3)*S"
+# order 3 with L*(1) = 0, so C_L = 1
+ORDER3_CL1 = "3 - 2*S - (3*n+1)*S^2 + (3*n+3)*S^3"
 
 IDENTITY_FIXTURES = (
     "domb_neg32_base",
@@ -86,6 +92,16 @@ def cases() -> list:
              "--from", "0", "--to", "40", *f),
             ("sum", "--sequence", "domb_over_16n", "--numer", "(n+1)^2",
              "--denom", "n*(n-1)", "--from", "2", "--to", "30", *f),
+        ]
+    for fmt in FORMATS:
+        f = ("--format", fmt)
+        out += [
+            # profile branches: R_L images vanish or not, order 3 with C_L = 1
+            ("classify", "--operator", RL_VANISHES, *f),
+            ("classify", "--operator", RL_LEAKS, *f),
+            ("classify", "--operator", ORDER3_CL1, *f),
+            ("reduce", "--operator", RL_LEAKS, "--poly", "n^5 + n^2 + 1", *f),
+            ("reduce", "--operator", ORDER3_CL1, "--poly", "n^4 - 2*n + 5", *f),
         ]
     for name in IDENTITY_FIXTURES:
         path = f"@fixtures/{name}.fixture"
