@@ -30,21 +30,22 @@ from .polynomials import (
 
 
 class ShiftOperator:
-    """Recurrence operator with polynomial coefficients a_0 .. a_J, a_J != 0."""
+    """Recurrence operator with polynomial coefficients a_0 .. a_J, a_J != 0.
 
-    __slots__ = ("_coeffs",)
+    The adjoint coefficients, the images L*(n^s) and the degree profile are
+    computed on first use and kept; a race only computes them twice.
+    """
+
+    __slots__ = ("_coeffs", "_adjoint", "_images", "_profile")
 
     def __init__(self, coeffs):
-        cs = []
-        for c in coeffs:
-            if not isinstance(c, Polynomial):
-                c = Polynomial((Fraction(c),)) if c else Polynomial()
-            cs.append(c)
+        cs = [c if isinstance(c, Polynomial) else Polynomial.constant(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         if not cs:
             raise ZeroOperator("shift operator needs a nonzero coefficient")
         self._coeffs = tuple(cs)
+        self._adjoint = self._images = self._profile = None
 
     @property
     def coeffs(self) -> tuple:
@@ -86,16 +87,35 @@ class ShiftOperator:
             Fraction(0),
         )
 
+    @property
+    def adjoint_coeffs(self) -> tuple:
+        """The adjoint's coefficients a_i(n-i), i = 0 .. J."""
+        if self._adjoint is None:
+            self._adjoint = tuple(a.shift(-i) for i, a in enumerate(self._coeffs))
+        return self._adjoint
+
     def adjoint_apply(self, x: Polynomial) -> Polynomial:
         """L*(x)(n) = sum_i a_i(n-i) x(n-i)."""
         if not isinstance(x, Polynomial):
-            x = Polynomial((Fraction(x),)) if x else Polynomial()
-        out = Polynomial()
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero():
-                continue
-            out = out + a.shift(-i) * x.shift(-i)
-        return out
+            x = Polynomial.constant(x)
+        return sum((a * x.shift(-i) for i, a in enumerate(self.adjoint_coeffs) if a),
+                   Polynomial())
+
+    def adjoint_image(self, s: int) -> Polynomial:
+        """L*(n^s)."""
+        if self._images is None:
+            self._images = {}
+        image = self._images.get(s)
+        if image is None:
+            image = self._images[s] = self.adjoint_apply(Polynomial.monomial(s))
+        return image
+
+    @property
+    def profile(self) -> "DegreeProfile":
+        """The operator's DegreeProfile (see ``degree_profile``)."""
+        if self._profile is None:
+            self._profile = _profile(self)
+        return self._profile
 
     def certificate(self, x: Polynomial) -> list:
         """Certificate polynomials u_0 .. u_{J-1} for the adjoint product.
@@ -107,7 +127,7 @@ class ShiftOperator:
         if self.order == 0:
             raise OrderZero("certificates need an operator of order >= 1")
         if not isinstance(x, Polynomial):
-            x = Polynomial((Fraction(x),)) if x else Polynomial()
+            x = Polynomial.constant(x)
         us = [Polynomial()]
         for a in reversed(self._coeffs[1:]):
             us.append((a * x + us[-1]).shift(-1))
@@ -158,51 +178,42 @@ class DegreeProfile:
 def degree_profile(op: ShiftOperator) -> DegreeProfile:
     """Compute deg L, d_L, the recombined b_k, f(s), R_L and C_L.
 
-    b_k(n) = sum_{j=k}^{J} C(j, k) a_{J-j}(n + j - J); deg L is the maximum
+    b_k(n) = sum_{i=0}^{J-k} C(J-i, k) a_i(n-i); deg L is the maximum
     of deg b_k - k, and f(s) collects the coefficients of n^(deg L + k)
     against falling factorials s(s-1)...(s-k+1).  The nonnegative integer
     roots R_L of f mark the monomial degrees the adjoint cannot produce at
-    full degree; C_L is the least s with L*(n^s) != 0.
+    full degree; C_L is the least s with L*(n^s) != 0.  Kept on the operator.
     """
+    return op.profile
+
+
+def _profile(op: ShiftOperator) -> DegreeProfile:
     J = op.order
-    b_polys = []
-    for k in range(J + 1):
-        b = Polynomial()
-        for j in range(k, J + 1):
-            a = op.coefficient(J - j)
-            if a.is_zero():
-                continue
-            b = b + comb(j, k) * a.shift(j - J)
-        b_polys.append(b)
+    adjoint = op.adjoint_coeffs
+    b_polys = tuple(
+        sum((comb(J - i, k) * adjoint[i] for i in range(J - k + 1)), Polynomial())
+        for k in range(J + 1)
+    )
     deg_l = max(b.degree - k for k, b in enumerate(b_polys))
     if deg_l == NEG_INF:
         raise InternalInconsistency("all b_k vanish for a nonzero operator")
     deg_l = int(deg_l)
     d_l = int(max(c.degree for c in op.coeffs))
 
-    f = Polynomial()
-    for k, b in enumerate(b_polys):
-        idx = deg_l + k
-        if idx >= 0:
-            c = b.coefficient(idx)
-            if c != 0:
-                f = f + c * falling_factorial(k)
+    f = sum((b.coefficient(deg_l + k) * falling_factorial(k)
+             for k, b in enumerate(b_polys)), Polynomial())
     if f.is_zero():
         raise InternalInconsistency("f(s) vanished identically")
     r_l = frozenset(s for s in integer_roots(f) if s >= 0)
 
-    c_l = None
-    for s in range(J + 1):
-        if not op.adjoint_apply(Polynomial.monomial(s)).is_zero():
-            c_l = s
-            break
+    c_l = next((s for s in range(J + 1) if not op.adjoint_image(s).is_zero()), None)
     if c_l is None:
         raise InternalInconsistency("no s <= J with L*(n^s) != 0")
 
     return DegreeProfile(
         deg_l=deg_l,
         d_l=d_l,
-        b_polys=tuple(b_polys),
+        b_polys=b_polys,
         f_poly=f,
         r_l=r_l,
         c_l=c_l,
@@ -278,22 +289,13 @@ def summable_degree_bounds(op: ShiftOperator) -> SummableBounds:
     if op.order == 0:
         raise OrderZero("summability bounds need an operator of order >= 1")
     prof = degree_profile(op)
-    witness = op.adjoint_apply(Polynomial.monomial(prof.c_l))
-    upper = prof.deg_l + prof.c_l
-
-    lower_valid = False
     a0 = op.coefficient(0)
-    if not a0.is_zero() and gcd_condition(a0, op.coeffs[-1], 0):
-        if not prof.degenerated:
-            lower_valid = True
-        else:
-            lower_valid = all(
-                op.adjoint_apply(Polynomial.monomial(s)).is_zero()
-                for s in prof.r_l
-            )
+    lower_valid = (not a0.is_zero() and gcd_condition(a0, op.coeffs[-1], 0)
+                   and all(op.adjoint_image(s).is_zero() for s in prof.r_l))
+    upper = prof.deg_l + prof.c_l
     return SummableBounds(
         upper=upper,
-        witness=witness,
+        witness=op.adjoint_image(prof.c_l),
         lower_valid=lower_valid,
         lower=upper if lower_valid else None,
     )

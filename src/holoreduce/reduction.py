@@ -14,7 +14,6 @@ with T given by the telescoping certificate against G(n) = F(n)/SP(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import prod
 
@@ -26,7 +25,7 @@ from .errors import (
     OrderZero,
     ZeroInput,
 )
-from .operators import DegreeProfile, ShiftOperator, degree_profile, gcd_condition
+from .operators import ShiftOperator, degree_profile, gcd_condition
 from .polynomials import Polynomial
 
 
@@ -94,16 +93,10 @@ def polynomial_reduce(p: Polynomial, op: ShiftOperator) -> ReductionResult:
     """
     if op.order == 0:
         raise OrderZero("polynomial reduction needs an operator of order >= 1")
-    return _polynomial_reduce(p, op, degree_profile(op))
-
-
-def _polynomial_reduce(p, op: ShiftOperator, prof: DegreeProfile) -> ReductionResult:
-    """polynomial_reduce against an operator of order >= 1 whose profile
-    the caller has already computed."""
-    work = p if isinstance(p, Polynomial) else Polynomial((Fraction(p),))
+    prof = op.profile
+    work = p if isinstance(p, Polynomial) else Polynomial.constant(p)
     kept = Polynomial()
     multiplier = Polynomial()
-    adjoint_cache = {}
     while not work.is_zero():
         d = int(work.degree)
         s = d - prof.deg_l
@@ -115,10 +108,7 @@ def _polynomial_reduce(p, op: ShiftOperator, prof: DegreeProfile) -> ReductionRe
             kept = kept + Polynomial.monomial(d, lead)
             work = work - Polynomial.monomial(d, lead)
             continue
-        image = adjoint_cache.get(s)
-        if image is None:
-            image = op.adjoint_apply(Polynomial.monomial(s))
-            adjoint_cache[s] = image
+        image = op.adjoint_image(s)
         if image.degree != d:
             raise InternalInconsistency(
                 f"L*(n^{s}) has degree {image.degree}, expected {d}"
@@ -233,7 +223,7 @@ def _rational_reduce_once(p, op, factor, side, i_order):
     derived = build(op, factor, i_order)
     spec = _side_spec(op, factor, side, i_order)
     prof = degree_profile(derived)
-    red = _polynomial_reduce(p * sp_expand(spec), derived, prof)
+    red = polynomial_reduce(p * sp_expand(spec), derived)
     if prof.degenerated and red.remainder.degree >= prof.deg_l:
         raise IrreducibleAtThisI(
             f"remainder degree {red.remainder.degree} not below deg L1 = "

@@ -196,8 +196,7 @@ def verify_identity_exact(fix, source, rr: RationalReductionResult,
     if fix.recipe is not None and (
             rr.remainder_numer != fix.recipe.scalar * fix.numer or sp != fix.denom):
         return False
-    if rr.derived_operator.adjoint_apply(rr.reduction.multiplier) \
-            + rr.remainder_numer != source.numer * sp:
+    if not rr.reduction.check(source.numer * sp):
         return False
 
     us = rr.reduction.certificate
@@ -421,12 +420,15 @@ def _residue(q: Fraction, modulus: int) -> int:
 
 def verify_congruence(fix: CongruenceFixture, primes) -> list:
     """Exact residue sums mod p^2 for each prime, against the target."""
+    primes = sorted(primes)
+    if not primes:
+        raise ValueError("no primes to check")
     reports = []
     seq = _resolve(fix.sequence_key)
     r, mod = fix.prime_residue
     start = fix.start_index
     terms = []  # the terms from start on, grown as the sorted primes need them
-    for p in sorted(primes):
+    for p in primes:
         if not is_prime(p) or p % mod != r % mod:
             raise PrimeFilterViolation(
                 f"{p} is not a prime with p = {r} mod {mod}")

@@ -72,6 +72,11 @@ class TestClassify:
         assert code == 2
         assert "error" in err
 
+    def test_superscript_digit_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "classify", "--operator", "n\u00b2 - S")
+        assert (code, out) == (2, "")
+        assert err == "error: unexpected character '\u00b2' at position 1\n"
+
 
 class TestReduce:
     def test_scaled_16n_cubic(self, capsys):
@@ -206,6 +211,14 @@ class TestVerify:
                            "--mode", "congruence", "--primes", "7,13,19")
         assert code == 0
         assert out.count("ok") == 3
+
+    @pytest.mark.parametrize("primes", [",", "", " , "])
+    def test_congruence_without_primes_exits_2(self, capsys, primes):
+        code, out, err = run(capsys, "verify",
+                             "--fixture", fixture_path("domb_16n_rational_cong"),
+                             "--mode", "congruence", "--primes", primes)
+        assert (code, out) == (2, "")
+        assert err == "error: no primes to check\n"
 
     def test_exact_lower_sq(self, capsys):
         code, out, _ = run(capsys, "verify", "--fixture", fixture_path("domb_neg32_lower_sq"),

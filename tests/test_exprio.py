@@ -66,6 +66,16 @@ class TestParsePolynomial:
     def test_negative_exponent(self):
         assert_parse_error(parse_polynomial, "n^-2", 2)
 
+    def test_ascii_digits_only(self):
+        # str.isdigit accepts superscripts and other scripts' digits
+        assert_parse_error(parse_polynomial, "n\u00b2 + 1", 1)
+        assert_parse_error(parse_polynomial, "n^\u0663", 2)
+        assert_parse_error(parse_polynomial, "3\u00b2", 1)
+        assert_parse_error(parse_operator, "n\u00b2 - S", 1)
+        assert_parse_error(parse_operator, "\uff11*S", 0)
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_operator("n\u00b2 - S")
+
 
 class TestParseOperator:
     def test_neg32_annihilator(self):

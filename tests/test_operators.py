@@ -1,18 +1,31 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoreduce import (
+    NEG_INF,
+    DegreeProfile,
     Polynomial,
     ShiftOperator,
+    SummableBounds,
+    build_L1_lower,
+    build_L1_upper,
     degree_law_check,
     degree_profile,
+    falling_factorial,
     gcd_condition,
+    integer_roots,
     poly_gcd,
+    polynomial_reduce,
+    rational_reduce,
     summable_degree_bounds,
 )
-from holoreduce.errors import OrderZero, ZeroInput, ZeroOperator
+from holoreduce.errors import InternalInconsistency, OrderZero, ZeroInput, ZeroOperator
 from holoreduce.sequences import (
     CENTRAL_BINOMIAL_OPERATOR,
     DOMB_16N_OPERATOR,
@@ -271,3 +284,193 @@ class TestOperatorBasics:
         assert (op * 3).coefficient(0) == 3 * op.coefficient(0)
         with pytest.raises(ZeroOperator):
             op * 0
+
+    def test_inexact_scalars_rejected(self):
+        # a float or string scalar would hold a binary approximation or a
+        # parsed value; like Polynomial, the operator takes ints and Fractions
+        for bad in (0.1, 1.0, "1/2", "0"):
+            with pytest.raises(TypeError):
+                ShiftOperator([bad, Polynomial([1])])
+            with pytest.raises(TypeError):
+                DELTA.adjoint_apply(bad)
+            with pytest.raises(TypeError):
+                DELTA.certificate(bad)
+
+    def test_exact_scalars(self):
+        op = ShiftOperator([0, Fraction(1, 2), N, 3, 0])
+        assert op.coeffs == (Polynomial(), Polynomial([Fraction(1, 2)]), N,
+                             Polynomial([3]))
+        for c in (0, 2, Fraction(-3, 7)):
+            x = Polynomial([c])
+            assert op.adjoint_apply(c) == op.adjoint_apply(x)
+            assert op.certificate(c) == op.certificate(x)
+        assert op.adjoint_apply(0).is_zero()
+
+
+# The parent implementation of the adjoint data, kept verbatim (as functions
+# of the operator) as a differential oracle for the memoised one.
+
+
+def parent_adjoint_apply(op, x: Polynomial) -> Polynomial:
+    """L*(x)(n) = sum_i a_i(n-i) x(n-i)."""
+    if not isinstance(x, Polynomial):
+        x = Polynomial((Fraction(x),)) if x else Polynomial()
+    out = Polynomial()
+    for i, a in enumerate(op.coeffs):
+        if a.is_zero():
+            continue
+        out = out + a.shift(-i) * x.shift(-i)
+    return out
+
+
+def parent_degree_profile(op):
+    J = op.order
+    b_polys = []
+    for k in range(J + 1):
+        b = Polynomial()
+        for j in range(k, J + 1):
+            a = op.coefficient(J - j)
+            if a.is_zero():
+                continue
+            b = b + comb(j, k) * a.shift(j - J)
+        b_polys.append(b)
+    deg_l = max(b.degree - k for k, b in enumerate(b_polys))
+    if deg_l == NEG_INF:
+        raise InternalInconsistency("all b_k vanish for a nonzero operator")
+    deg_l = int(deg_l)
+    d_l = int(max(c.degree for c in op.coeffs))
+
+    f = Polynomial()
+    for k, b in enumerate(b_polys):
+        idx = deg_l + k
+        if idx >= 0:
+            c = b.coefficient(idx)
+            if c != 0:
+                f = f + c * falling_factorial(k)
+    if f.is_zero():
+        raise InternalInconsistency("f(s) vanished identically")
+    r_l = frozenset(s for s in integer_roots(f) if s >= 0)
+
+    c_l = None
+    for s in range(J + 1):
+        if not parent_adjoint_apply(op, Polynomial.monomial(s)).is_zero():
+            c_l = s
+            break
+    if c_l is None:
+        raise InternalInconsistency("no s <= J with L*(n^s) != 0")
+
+    return DegreeProfile(
+        deg_l=deg_l,
+        d_l=d_l,
+        b_polys=tuple(b_polys),
+        f_poly=f,
+        r_l=r_l,
+        c_l=c_l,
+        degenerated=bool(r_l),
+        strongly_nondegenerated=(deg_l == d_l),
+    )
+
+
+def parent_summable_degree_bounds(op):
+    if op.order == 0:
+        raise OrderZero("summability bounds need an operator of order >= 1")
+    prof = parent_degree_profile(op)
+    witness = parent_adjoint_apply(op, Polynomial.monomial(prof.c_l))
+    upper = prof.deg_l + prof.c_l
+
+    lower_valid = False
+    a0 = op.coefficient(0)
+    if not a0.is_zero() and gcd_condition(a0, op.coeffs[-1], 0):
+        if not prof.degenerated:
+            lower_valid = True
+        else:
+            lower_valid = all(
+                parent_adjoint_apply(op, Polynomial.monomial(s)).is_zero()
+                for s in prof.r_l
+            )
+    return SummableBounds(
+        upper=upper,
+        witness=witness,
+        lower_valid=lower_valid,
+        lower=upper if lower_valid else None,
+    )
+
+
+_POLYS = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(Polynomial)
+_NONZERO = _POLYS.filter(bool)
+
+
+@st.composite
+def _operators(draw):
+    """A random operator of order 1..3, or the L1 that a rational
+    reduction derives from one: a_0 (lower) or a_J (upper) then carries a
+    linear factor A, and L1 annihilates F / SP for I = J or J + 1 shifts of A."""
+    order = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(_POLYS, min_size=order, max_size=order))
+    coeffs.append(draw(_NONZERO))
+    side = draw(st.sampled_from((None, "lower", "upper")))
+    if side is None:
+        return ShiftOperator(coeffs)
+    factor = N + draw(st.integers(-3, 3))
+    home = 0 if side == "lower" else order
+    coeffs[home] = factor * (coeffs[home] or Polynomial([1]))
+    build = build_L1_lower if side == "lower" else build_L1_upper
+    return build(ShiftOperator(coeffs), factor, order + draw(st.integers(0, 1)))
+
+
+class TestParentOracle:
+    @given(op=_operators(), xs=st.lists(_POLYS, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_parent(self, op, xs):
+        assert degree_profile(op) == parent_degree_profile(op)
+        assert summable_degree_bounds(op) == parent_summable_degree_bounds(op)
+        for x in [*xs, 0, 3]:
+            assert op.adjoint_apply(x) == parent_adjoint_apply(op, x)
+        for s in range(op.order + 3):
+            assert op.adjoint_image(s) == parent_adjoint_apply(op, Polynomial.monomial(s))
+        # the memo answers again with the same objects
+        assert degree_profile(op) is degree_profile(op)
+        assert summable_degree_bounds(op) == parent_summable_degree_bounds(op)
+
+
+class TestAdjointMemo:
+    def test_each_operator_derives_once(self, monkeypatch):
+        import holoreduce.operators as operators
+
+        shifts, profiles, images = Counter(), Counter(), Counter()
+        ops = [ShiftOperator([Polynomial(c.coeffs) for c in op.coeffs])
+               for op in (DOMB_NEG32N_OPERATOR, DOMB_16N_OPERATOR,
+                          HARMONIC_RATIO_OPERATOR, FRANEL_SIGNED_OPERATOR)]
+        coeff_index = {id(c): (id(op), i) for op in ops for i, c in enumerate(op.coeffs)}
+        shift, profile, apply = Polynomial.shift, operators._profile, ShiftOperator.adjoint_apply
+
+        def counting_shift(p, k):
+            if id(p) in coeff_index and k < 0:
+                shifts[coeff_index[id(p)], k] += 1
+            return shift(p, k)
+
+        def counting_profile(op):
+            profiles[id(op)] += 1
+            return profile(op)
+
+        def counting_apply(op, x):
+            images[id(op), x] += 1
+            return apply(op, x)
+
+        monkeypatch.setattr(Polynomial, "shift", counting_shift)
+        monkeypatch.setattr(operators, "_profile", counting_profile)
+        monkeypatch.setattr(ShiftOperator, "adjoint_apply", counting_apply)
+        p = (3 * N + 1) * (N + 2) ** 3
+        derived = []
+        for _ in range(2):
+            for op in ops:
+                degree_profile(op)
+                summable_degree_bounds(op)
+                polynomial_reduce(p, op)
+            derived += [rational_reduce(p, ops[0], (N + 2) ** 2, "upper", 2),
+                        rational_reduce(p, ops[1], N + 1, "lower", 2)]
+        derived = [rr.derived_operator for rr in derived]
+        assert shifts == {((id(op), i), -i): 1 for op in ops for i in range(1, op.order + 1)}
+        assert profiles == {id(op): 1 for op in ops + derived}
+        assert set(images.values()) == {1}
+        assert all(x == Polynomial.monomial(x.degree) for _, x in images)

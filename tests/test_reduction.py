@@ -84,6 +84,14 @@ class TestPolynomialReduce:
         with pytest.raises(OrderZero):
             polynomial_reduce(N, ShiftOperator([N + 1]))
 
+    def test_scalar_numerator(self):
+        for c in (0, 3, Fraction(-2, 5)):
+            assert polynomial_reduce(c, DERIVED_16N) == \
+                polynomial_reduce(Polynomial([c]), DERIVED_16N)
+        for bad in (0.5, "3"):
+            with pytest.raises(TypeError):
+                polynomial_reduce(bad, DERIVED_16N)
+
     def test_exactness_random(self, rng):
         done = 0
         while done < 300:

@@ -367,6 +367,12 @@ class TestCongruence:
         with pytest.raises(PrimeFilterViolation):
             verify_congruence(fixture("domb_16n_linear_cong"), [49])
 
+    def test_no_primes(self):
+        # checking no prime proves nothing, so it is a usage error, not a pass
+        for primes in ([], (), iter([])):
+            with pytest.raises(ValueError, match="no primes to check"):
+                verify_congruence(fixture("domb_16n_linear_cong"), primes)
+
     def test_noninvertible_denominator(self):
         fix = CongruenceFixture(
             sequence_key="domb_over_16n", numer=Polynomial([1]),
@@ -731,6 +737,10 @@ class TestSeriesTermsDifferential:
             # the one declared change: a vanishing denominator is a
             # ZeroDivisionError, as in every other channel
             want = (ZeroDivisionError, want[1])
+        if not primes:
+            # declared change: checking no prime is a usage error, not a pass
+            assert want == []
+            want = (ValueError, "no primes to check")
         assert _outcome(verify_congruence, fix, primes) == want
 
     @pytest.mark.parametrize("name", _RECIPE_FIXTURES)
