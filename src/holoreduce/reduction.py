@@ -93,7 +93,7 @@ def polynomial_reduce(p: Polynomial, op: ShiftOperator) -> ReductionResult:
     """
     if op.order == 0:
         raise OrderZero("polynomial reduction needs an operator of order >= 1")
-    prof = op.profile
+    prof = degree_profile(op)
     work = p if isinstance(p, Polynomial) else Polynomial.constant(p)
     kept = Polynomial()
     multiplier = Polynomial()
@@ -222,8 +222,8 @@ def _rational_reduce_once(p, op, factor, side, i_order):
     build = build_L1_lower if side == "lower" else build_L1_upper
     derived = build(op, factor, i_order)
     spec = _side_spec(op, factor, side, i_order)
-    prof = degree_profile(derived)
     red = polynomial_reduce(p * sp_expand(spec), derived)
+    prof = derived.profile
     if prof.degenerated and red.remainder.degree >= prof.deg_l:
         raise IrreducibleAtThisI(
             f"remainder degree {red.remainder.degree} not below deg L1 = "

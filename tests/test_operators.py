@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -474,3 +476,34 @@ class TestAdjointMemo:
         assert profiles == {id(op): 1 for op in ops + derived}
         assert set(images.values()) == {1}
         assert all(x == Polynomial.monomial(x.degree) for _, x in images)
+
+    def test_concurrent_first_use(self):
+        # threads that race to fill the memo only compute the same value twice
+        def fresh():
+            return ShiftOperator([Polynomial(c.coeffs) for c in DOMB_NEG32N_OPERATOR.coeffs])
+
+        want = [parent_summable_degree_bounds(fresh()), parent_degree_profile(fresh())]
+        want += [parent_adjoint_apply(fresh(), Polynomial.monomial(s)) for s in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                op, results, errors = fresh(), [], []
+
+                def worker():
+                    try:
+                        got = [summable_degree_bounds(op), degree_profile(op)]
+                        results.append(got + [op.adjoint_image(s) for s in range(6)])
+                    except Exception as err:  # noqa: BLE001 - reported below
+                        errors.append(err)
+
+                threads = [threading.Thread(target=worker) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                assert results == [want] * len(threads)
+        finally:
+            sys.setswitchinterval(interval)
