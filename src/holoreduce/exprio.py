@@ -38,9 +38,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if "0" <= ch <= "9":  # ASCII only: str.isdigit takes superscripts too
+        if ch in "0123456789":  # ASCII only: str.isdigit takes superscripts too
             j = i
-            while j < len(text) and "0" <= text[j] <= "9":
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
