@@ -430,7 +430,7 @@ class TestParentOracle:
             assert op.adjoint_apply(x) == parent_adjoint_apply(op, x)
         for s in range(op.order + 3):
             assert op.adjoint_image(s) == parent_adjoint_apply(op, Polynomial.monomial(s))
-        # the memo answers again with the same objects
+        # a second read comes from the memo and still agrees
         assert degree_profile(op) is degree_profile(op)
         assert summable_degree_bounds(op) == parent_summable_degree_bounds(op)
 
