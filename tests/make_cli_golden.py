@@ -58,6 +58,10 @@ RECIPES = (
     (DOMB_16N, "3*n + 1", "n + 1", "lower", "2"),
 )
 
+# every prime p = 1 mod 3 from 7 to 499 (45 of them)
+CONGRUENCE_PRIMES = ",".join(
+    str(p) for p in range(7, 500, 6) if all(p % d for d in range(2, p)))
+
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
 
@@ -143,6 +147,11 @@ def cases() -> list:
         ("verify", "--fixture", "@fixtures/domb_16n_linear_cong.fixture",
          "--mode", "numeric"),
     ]
+    for fmt in ("text", "structured"):
+        for name in CONGRUENCE_FIXTURES:
+            out.append(("verify", "--fixture", f"@fixtures/{name}.fixture",
+                        "--mode", "congruence", "--primes", CONGRUENCE_PRIMES,
+                        "--format", fmt))
     out += [
         # series sums at the edges of the domain
         ("sum", "--sequence", "domb", "--numer", "1", "--denom", "n+2",
