@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,16 @@ from .verify import (
 )
 
 DEFAULT_PRIMES = "7,13,19,31,37,43"
+
+
+def _parse_primes(text: str) -> list:
+    """The comma-separated integers of ``--primes``: ASCII digits with an
+    optional sign; blanks around an item and empty items are skipped."""
+    items = [item for item in map(str.strip, text.split(",")) if item]
+    for item in items:
+        if not re.fullmatch(r"[+-]?[0-9]+", item):
+            raise ValueError(f"bad prime {item!r} in --primes")
+    return [int(item) for item in items]
 
 
 def _render(value, fmt):
@@ -184,7 +195,7 @@ def _cmd_verify(args) -> int:
     if args.mode == "congruence":
         if not isinstance(fix, CongruenceFixture):
             raise ValueError("congruence mode needs a congruence fixture")
-        primes = [int(p) for p in args.primes.split(",") if p.strip()]
+        primes = _parse_primes(args.primes)
         reports = verify_congruence(fix, primes)
         ok = all(r["ok"] for r in reports)
         lines = [

@@ -288,6 +288,18 @@ def _horner(row, x):
     return acc
 
 
+def _taylor_shift(row, k):
+    """Coefficients of p(x + k) for the integer coefficients ``row`` of p
+    (ascending powers), by the classic in-place Horner scheme in O(d^2)
+    additions (von zur Gathen and Gerhard, "Fast algorithms for Taylor
+    shifts and certain difference equations", ISSAC 1997)."""
+    c = list(row)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += k * c[j + 1]
+    return c
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor of two polynomials over Q.
 

@@ -34,7 +34,7 @@ class HolonomicSequence:
     vanishes the value comes from ``oracle``.  Exact values are cached
     for all callers (guarded by a lock, so concurrent eval is
     linearizable).  :meth:`series_terms` gives the summands
-    numer(n)/denom(n) * F(n) of every series the package checks.
+    numer(n)/denom(n) * F(n) of every series the package sums.
     Sequences may also be oracle-only (``operator=None``).
     """
 

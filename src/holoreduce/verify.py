@@ -24,7 +24,13 @@ from .errors import (
 )
 from .exprio import parse_polynomial
 from .operators import ShiftOperator
-from .polynomials import Polynomial, integer_roots
+from .polynomials import (
+    Polynomial,
+    _horner,
+    _taylor_shift,
+    integer_roots,
+    integer_rows,
+)
 from .reduction import RationalReductionResult, rational_reduce
 from .sequences import get_sequence
 
@@ -245,11 +251,12 @@ def _positive_part(p: Polynomial) -> Polynomial:
     return p if p.leading_coefficient > 0 else -p
 
 
-def _positive_from(p: Polynomial, m: int) -> bool:
-    """Every coefficient of p(m + x) is >= 0 and p(m) > 0, so p > 0 on
-    [m, oo).  Shifting by k >= 0 keeps coefficients nonnegative, so this
-    also holds at every index after m."""
-    cs = p.shift(m).coeffs
+def _positive_from(row, m: int) -> bool:
+    """Every coefficient of p(m + x) is >= 0 and p(m) > 0, for p with the
+    integer coefficients ``row``, so p > 0 on [m, oo).  Shifting by k >= 0
+    keeps coefficients nonnegative, so this also holds at every index
+    after m."""
+    cs = _taylor_shift(row, m)
     return cs[0] > 0 and min(cs) >= 0
 
 
@@ -286,12 +293,13 @@ def _tail_certificate(seq, numer: Polynomial, denom: Polynomial, lo: int,
         return f"rho = {rho} is too close to 1"
     num, den = _positive_part(numer), _positive_part(denom)
     # the two inequalities first: they fail longest, and holds() stops early
-    checks = [num * den.shift(1) * _SIGMA - num.shift(1) * den,
-              lead * rho - sum(low, Polynomial()),
-              lead, num, den, *(a for a in low if a)]
+    # scaling by a positive integer keeps every sign
+    _, checks = integer_rows([num * den.shift(1) * _SIGMA - num.shift(1) * den,
+                              lead * rho - sum(low, Polynomial()),
+                              lead, num, den, *(a for a in low if a)])
 
     def holds(m):
-        return all(_positive_from(p, m) for p in checks)
+        return all(_positive_from(row, m) for row in checks)
 
     if hi < lo or not holds(hi):
         return f"no m0 in [{lo}, {hi}]"
@@ -418,8 +426,32 @@ def _residue(q: Fraction, modulus: int) -> int:
     return (q.numerator * pow(q.denominator % modulus, -1, modulus)) % modulus
 
 
+def _residue_sum(terms, p: int, modulus: int) -> int:
+    """sum a/b mod ``modulus`` = p^k over the ``terms`` (a, b), folded into
+    one fraction s/t with t prime to p, so that one inversion serves the
+    whole sum.  Where p does not divide b the term is a * b^-1, since
+    Z_(p) -> Z/p^k is a ring homomorphism; elsewhere the exact term
+    Fraction(a, b) is reduced, which raises NonInvertibleDenominator
+    when it is not p-integral."""
+    s, t = 0, 1
+    for a, b in terms:
+        e = b % modulus
+        if e % p:
+            s = (s * e + a % modulus * t) % modulus
+            t = t * e % modulus
+        else:
+            s = (s + _residue(Fraction(a, b), modulus) * t) % modulus
+    return s * pow(t, -1, modulus) % modulus
+
+
 def verify_congruence(fix: CongruenceFixture, primes) -> list:
-    """Exact residue sums mod p^2 for each prime, against the target."""
+    """Exact residue sums mod p^2 for each prime, against the target.
+
+    The terms come from the exact values of F with one inversion per
+    prime (see :func:`_residue_sum`).  Errors come in the order of a walk
+    over each prime's window: the denominators of the new indices are
+    scanned before F is read, and a vanishing denominator is raised after
+    the residues of the terms before it."""
     primes = sorted(primes)
     if not primes:
         raise ValueError("no primes to check")
@@ -427,23 +459,25 @@ def verify_congruence(fix: CongruenceFixture, primes) -> list:
     seq = _resolve(fix.sequence_key)
     r, mod = fix.prime_residue
     start = fix.start_index
-    terms = []  # the terms from start on, grown as the sorted primes need them
+    # numer/denom is unchanged when both are scaled by one integer
+    _, (num_row, den_row) = integer_rows([fix.numer, fix.denom])
+    # each term numer(n)/denom(n) * F(n) as an integer pair (a, b), from
+    # start on, grown as the sorted primes need them
+    terms = []
     for p in primes:
         if not is_prime(p) or p % mod != r % mod:
             raise PrimeFilterViolation(
                 f"{p} is not a prime with p = {r} mod {mod}")
         modulus = p**fix.modulus_power
-        vanishing = None
-        try:
-            terms.extend(seq.series_terms(fix.numer, fix.denom,
-                                          start + len(terms), p - 1))
-        except ZeroDivisionError as err:
-            if fix.denom.evaluate(start + len(terms)):
-                raise  # not the denominator: an error of F comes first
-            vanishing = err  # raised after the residues of the terms before it
-        acc = sum(_residue(t, modulus) for t in terms[:max(p - start, 0)]) % modulus
-        if vanishing is not None:
-            raise vanishing
+        lo = start + len(terms)
+        dens = [_horner(den_row, n) for n in range(lo, p)]
+        stop = lo + (dens.index(0) if 0 in dens else len(dens))
+        terms += [(_horner(num_row, n) * f.numerator, d * f.denominator)
+                  for n, d, f in zip(range(lo, stop), dens,
+                                     seq.values(lo, stop - 1))]
+        acc = _residue_sum(terms[:max(p - start, 0)], p, modulus)
+        if stop < lo + len(dens):
+            raise ZeroDivisionError(f"denominator vanishes at n = {stop}")
         target = _residue(fix.target, modulus)
         reports.append({
             "prime": p,

@@ -220,6 +220,27 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: no primes to check\n"
 
+    @pytest.mark.parametrize("primes, bad", [
+        ("7,abc", "abc"),
+        ("١٣", "١٣"),  # Arabic-Indic 13: int() reads it
+        ("7, 1_3", "1_3"),
+    ])
+    def test_congruence_bad_prime_exits_2(self, capsys, primes, bad):
+        code, out, err = run(capsys, "verify",
+                             "--fixture", fixture_path("domb_16n_rational_cong"),
+                             "--mode", "congruence", "--primes", primes)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad prime {bad!r} in --primes\n"
+
+    @pytest.mark.parametrize("primes", [" 7 , 13", "7,,13", "+7,13"])
+    def test_congruence_primes_blanks_and_empty_items(self, capsys, primes):
+        code, out, _ = run(capsys, "verify",
+                           "--fixture", fixture_path("domb_16n_rational_cong"),
+                           "--mode", "congruence", "--primes", primes)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == \
+            ["p=7", "p=13", "status"]
+
     def test_exact_lower_sq(self, capsys):
         code, out, _ = run(capsys, "verify", "--fixture", fixture_path("domb_neg32_lower_sq"),
                            "--mode", "exact", "--window", "60")

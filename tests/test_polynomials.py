@@ -17,6 +17,7 @@ from holoreduce import (
     resultant,
 )
 from holoreduce.errors import BothZero, DivisionNotExact, ZeroPolynomial
+from holoreduce.polynomials import _taylor_shift
 
 from conftest import N, rand_polynomial
 
@@ -106,6 +107,15 @@ class TestShift:
     def test_shift_is_ring_homomorphism(self, a, b, k):
         assert (a + b).shift(k) == a.shift(k) + b.shift(k)
         assert (a * b).shift(k) == a.shift(k) * b.shift(k)
+
+    @given(row=st.lists(st.integers(-10**6, 10**6), max_size=12),
+           k=st.integers(1, 10**4))
+    @settings(max_examples=200)
+    def test_integer_taylor_shift(self, row, k):
+        # negative, zero and positive shifts; the row may end in zeros
+        for shift in (-k, 0, k):
+            assert Polynomial(_taylor_shift(row, shift)) == \
+                Polynomial(row).shift(shift)
 
 
 class TestGcd:

@@ -36,6 +36,7 @@ from holoreduce.errors import (
     PrimeFilterViolation,
     SingularLeadingCoefficient,
 )
+import holoreduce.verify as verify_module
 from holoreduce.polynomials import _horner, integer_roots, integer_rows
 from holoreduce.sequences import DOMB_16N_OPERATOR, DOMB_NEG32N_OPERATOR, catalog
 from holoreduce.verify import (
@@ -881,6 +882,51 @@ class TestCongruenceAcrossPrimes:
             verify_congruence(fix, [7, 31])
 
 
+class TestExactTermBranch:
+    """Where p divides the cleared denominator b = denom(n) * F(n).denominator,
+    verify_congruence reduces the exact term with _residue instead of
+    folding a * b^-1; the term may still be p-integral."""
+
+    @staticmethod
+    def _count_residues(monkeypatch):
+        moduli = []
+
+        def counting(q, modulus):
+            moduli.append(modulus)
+            return _residue(q, modulus)
+
+        monkeypatch.setattr(verify_module, "_residue", counting)
+        return moduli
+
+    @pytest.mark.parametrize("p", [7, 13, 19])
+    @pytest.mark.parametrize("c, exact_terms", [
+        (N + 1, lambda p: 1),             # (n+1)/(n+1): b = p at n = p - 1
+        (Polynomial([1729]), lambda p: p),  # 1729 = 7 * 13 * 19 at every n
+    ])
+    def test_p_integral_term(self, monkeypatch, p, c, exact_terms):
+        fix = CongruenceFixture(sequence_key="domb_over_16n", numer=c, denom=c,
+                                start_index=0, target=Fraction(3, 2))
+        want = _reference_verify_congruence(fix, [p])
+        moduli = self._count_residues(monkeypatch)
+        assert verify_congruence(fix, [p]) == want
+        assert moduli == [p * p] * (exact_terms(p) + 1)  # and the target
+
+    @pytest.mark.parametrize("p, exact_terms", [(7, 7), (13, 1), (19, 1)])
+    def test_not_p_integral(self, monkeypatch, p, exact_terms):
+        # 7/(7(n+1)) * F(n): at n = p - 1 the reduced term F(p-1)/p has no
+        # inverse mod p^2; at p = 7 every term takes the exact branch
+        fix = CongruenceFixture(sequence_key="domb_over_16n",
+                                numer=Polynomial([7]), denom=7 * (N + 1),
+                                start_index=0, target=Fraction(0))
+        want = _outcome(_reference_verify_congruence, fix, [p])
+        assert want[0] is NonInvertibleDenominator
+        moduli = self._count_residues(monkeypatch)
+        assert _outcome(verify_congruence, fix, [p]) == want
+        assert moduli == [p * p] * exact_terms
+        if p == 7:
+            assert want[1] == "denominator 1835008 shares a factor with 49"
+
+
 _SUMMED = re.compile(r"^numeric series (\S+): summed (\d+) of (\d+) terms; (.*)$")
 
 
@@ -908,6 +954,76 @@ def _check_certificate(seq, numer, denom, m0, rho, count):
         h0 = abs(_horner(num, m)) * abs(_horner(den, m + 1))
         h1 = abs(_horner(num, m + 1)) * abs(_horner(den, m))
         assert h1 * _SIGMA.denominator <= _SIGMA.numerator * h0
+
+
+def _reference_positive_part(p):
+    return p if p.leading_coefficient > 0 else -p
+
+
+def _reference_positive_from(p, m):
+    cs = p.shift(m).coeffs
+    return cs[0] > 0 and min(cs) >= 0
+
+
+def _reference_tail_certificate(seq, numer, denom, lo, last, bits):
+    """_tail_certificate on Fraction polynomials and their Taylor shifts."""
+    if seq.operator is None:
+        return "the sequence has no recurrence"
+    if not numer or not denom:
+        return "numer or denom is zero"
+    *low, lead = (_reference_positive_part(a) if a else a
+                  for a in seq.operator.coeffs)
+    j = len(low)
+    if j == 0:
+        return "the recurrence has order 0"
+    hi = last - j
+    if any(a.degree > lead.degree for a in low if a):
+        return "sum |a_i| / |a_J| is unbounded"
+    limit = sum((a.leading_coefficient for a in low if a.degree == lead.degree),
+                Fraction(0)) / lead.leading_coefficient
+    if limit >= 1:
+        return f"sum |a_i| / |a_J| tends to {limit} >= 1"
+    rho = (3 * limit + 1) / 4
+    # a step of the recurrence rounds J + 1 times
+    if _SIGMA**j * rho * (1 + Fraction(1, 2**bits))**(j + 1) >= 1:
+        return f"rho = {rho} is too close to 1"
+    num, den = _reference_positive_part(numer), _reference_positive_part(denom)
+    # the two inequalities first: they fail longest, and holds() stops early
+    checks = [num * den.shift(1) * _SIGMA - num.shift(1) * den,
+              lead * rho - sum(low, Polynomial()),
+              lead, num, den, *(a for a in low if a)]
+
+    def holds(m):
+        return all(_reference_positive_from(p, m) for p in checks)
+
+    if hi < lo or not holds(hi):
+        return f"no m0 in [{lo}, {hi}]"
+    bad, good, step = lo - 1, hi, 1  # holds(good), and not holds(bad) or bad < lo
+    while bad + step < good:
+        if holds(bad + step):
+            good = bad + step
+            break
+        bad, step = bad + step, 2 * step
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        bad, good = (bad, mid) if holds(mid) else (mid, good)
+    late = [k for k in seq.overrides if k >= good]
+    if late:
+        return f"override at index {min(late)} >= m0 = {good}"
+    return good, rho
+
+
+# every catalog sequence; the one whose ratio limit is below 1 again, so
+# that certificates are common; and random recurrences with an override
+_CERTIFICATE_SEQUENCES = st.one_of(
+    st.sampled_from(_KEYS).map(get_sequence),
+    st.just(get_sequence("domb_over_neg32n")),
+    st.builds(
+        lambda cs, overrides: HolonomicSequence(
+            ShiftOperator(cs), 0, [1] * (len(cs) - 1), overrides=overrides),
+        st.lists(_POLYS, min_size=2, max_size=4).filter(lambda cs: cs[-1]),
+        st.dictionaries(st.integers(0, 200), st.just(1), max_size=1)),
+)
 
 
 class TestCertifiedTail:
@@ -947,6 +1063,16 @@ class TestCertifiedTail:
         m0, rho = cert
         assert fix.start_index <= m0 <= 40 and rho == Fraction(49, 64)
         _check_certificate(seq, fix.numer, fix.denom, m0, rho, 5000)
+
+    @given(seq=_CERTIFICATE_SEQUENCES, numer=_POLYS.filter(bool), denom=_POLYS,
+           lo=st.integers(-3, 40), span=st.integers(-3, 600),
+           bits=st.integers(64, 256))
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_matches_fraction_shifts(self, seq, numer, denom, lo,
+                                                 span, bits):
+        args = (seq, numer, denom, lo, lo + span, bits)
+        assert _outcome(_tail_certificate, *args) == \
+            _outcome(_reference_tail_certificate, *args)
 
     @pytest.mark.parametrize("case", ["override", "ratio", "numer", "denom"])
     def test_fallback_to_full_walk(self, caplog, case):
