@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import holoreduce.verify as verify_module
 from holoreduce import (
     CongruenceFixture,
     HolonomicSequence,
@@ -36,7 +37,6 @@ from holoreduce.errors import (
     PrimeFilterViolation,
     SingularLeadingCoefficient,
 )
-import holoreduce.verify as verify_module
 from holoreduce.polynomials import _horner, integer_roots, integer_rows
 from holoreduce.sequences import DOMB_16N_OPERATOR, DOMB_NEG32N_OPERATOR, catalog
 from holoreduce.verify import (
@@ -899,17 +899,17 @@ class TestExactTermBranch:
         return moduli
 
     @pytest.mark.parametrize("p", [7, 13, 19])
-    @pytest.mark.parametrize("c, exact_terms", [
-        (N + 1, lambda p: 1),             # (n+1)/(n+1): b = p at n = p - 1
-        (Polynomial([1729]), lambda p: p),  # 1729 = 7 * 13 * 19 at every n
-    ])
-    def test_p_integral_term(self, monkeypatch, p, c, exact_terms):
+    @pytest.mark.parametrize("c", [N + 1, Polynomial([1729])])
+    def test_p_integral_term(self, monkeypatch, p, c):
+        # c/c * F(n): p divides b at n = p - 1 for c = n + 1, and at every
+        # n for c = 1729 = 7 * 13 * 19
         fix = CongruenceFixture(sequence_key="domb_over_16n", numer=c, denom=c,
                                 start_index=0, target=Fraction(3, 2))
         want = _reference_verify_congruence(fix, [p])
         moduli = self._count_residues(monkeypatch)
         assert verify_congruence(fix, [p]) == want
-        assert moduli == [p * p] * (exact_terms(p) + 1)  # and the target
+        exact_terms = p if c.degree == 0 else 1
+        assert moduli == [p * p] * (exact_terms + 1)  # and the target
 
     @pytest.mark.parametrize("p, exact_terms", [(7, 7), (13, 1), (19, 1)])
     def test_not_p_integral(self, monkeypatch, p, exact_terms):
