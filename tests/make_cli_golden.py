@@ -37,6 +37,8 @@ RL_VANISHES = "(1-n) + (n+1)*S"
 RL_LEAKS = "(n+1) - (n+3)*S"
 # order 3 with L*(1) = 0, so C_L = 1
 ORDER3_CL1 = "3 - 2*S - (3*n+1)*S^2 + (3*n+3)*S^3"
+# coefficients with denominators
+FRACTIONAL = "(n+1)/3 - (2*n+5)/7*S"
 
 IDENTITY_FIXTURES = (
     "domb_neg32_base",
@@ -172,6 +174,37 @@ def cases() -> list:
         ("verify", "--fixture", "@fixtures/domb_neg32_upper_sq.fixture",
          "--mode", "numeric", "--N", "2000", "--accel", "none"),
     ]
+    for fmt in FORMATS:
+        f = ("--format", fmt)
+        out += [
+            ("classify", "--operator", FRACTIONAL, *f),
+            ("reduce", "--operator", FRACTIONAL, "--poly", "n^3/4 - 2*n/5 + 1", *f),
+        ]
+    out += [
+        # a polynomial at the degree limit
+        ("reduce", "--operator", "S - 1", "--poly", "(n+1)^600"),
+        # a non-monic denominator with rational coefficients
+        ("sum", "--sequence", "domb_over_16n", "--numer", "n^2 + 1",
+         "--denom", "(3*n^2 + 2)/7", "--from", "0", "--to", "25"),
+        ("rational-reduce", "--operator", NEG32, "--poly", "3*n+1",
+         "--factor", "(n+2)^3", "--side", "upper", "--order", "3",
+         "--format", "structured"),
+        # numbers outside the expression grammar: ASCII digits only
+        ("eval", "--sequence", "domb", "--n", "\u0662"),
+        ("eval", "--sequence", "domb", "--n", "two"),
+        ("sum", "--sequence", "domb", "--numer", "1", "--from", "\u0660",
+         "--to", "3"),
+        ("rational-reduce", "--operator", NEG32, "--poly", "3*n+1",
+         "--factor", "(n+2)^2", "--side", "upper", "--order", "\u0662"),
+        ("guess", "--terms", "@golden/franel_terms.txt", "--start", "0",
+         "--max-order", "\u0662", "--max-deg", "3"),
+        ("verify", "--fixture", "@fixtures/domb_neg32_upper_sq.fixture",
+         "--mode", "numeric", "--N", "\u0662\u0660\u0660\u0660"),
+        ("verify", "--fixture", "@golden/unicode_cong.fixture",
+         "--mode", "congruence"),
+        ("verify", "--fixture", "@golden/unicode_recipe.fixture",
+         "--mode", "exact", "--window", "40"),
+    ]
     return [list(argv) for argv in out]
 
 
@@ -188,24 +221,53 @@ def resolve(argv) -> list:
 
 
 def run(argv) -> dict:
-    """Run ``cli.main`` in process and capture what it prints."""
+    """Run ``cli.main`` in process and capture what it prints; an argparse
+    usage error counts as its exit code, with usage lines 80 columns wide."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def write_term_files() -> None:
+# fixtures written with Arabic-Indic digits where the grammar has none
+UNICODE_FIXTURES = {
+    "unicode_cong.fixture": (
+        "sequence = domb_over_16n\nnumer = (n+1)^2\ndenom = n*(n-1)\n"
+        "start = \u0662\nprimes = \u0661 mod \u0663\n"
+        "target = \u0663/\u0662 mod p^2\n"),
+    "unicode_recipe.fixture": (
+        "sequence = domb_over_neg32n\n"
+        "numer = 15*n^4 + 78*n^3 + 141*n^2 + 103*n + 27\n"
+        "denom = (n+1)^2*(n+2)^2\nstart = 0\n"
+        "target = \u0660 + \u0661\u0668/pi\n"
+        "source_numer = 3*n + 1\nfactor = (n+2)^2\nside = upper\n"
+        "order = \u0662\nscalar = \u0661/\u0669\n"),
+}
+
+
+def write_input_files() -> None:
     files = {"franel_terms.txt": [franel_number(k) for k in range(30)],
              "primes_terms.txt": PRIMES}
     for name, terms in files.items():
         (GOLDEN_DIR / name).write_text("".join(f"{t}\n" for t in terms))
+    for name, text in UNICODE_FIXTURES.items():
+        (GOLDEN_DIR / name).write_text(text, encoding="utf-8")
 
 
 def main() -> None:
     os.environ.pop("HOLOREDUCE_PRECISION_BITS", None)
     GOLDEN_DIR.mkdir(exist_ok=True)
-    write_term_files()
+    write_input_files()
     entries = [{"argv": argv, **run(resolve(argv))} for argv in cases()]
     GOLDEN_FILE.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} entries to {GOLDEN_FILE}")
