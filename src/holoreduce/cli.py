@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -18,7 +17,8 @@ from .errors import (
     ParseError,
     PrecisionLoss,
 )
-from .exprio import SCHEMA, _body, parse_operator, parse_polynomial, to_latex, to_text
+from .exprio import (SCHEMA, _body, parse_number, parse_operator, parse_polynomial,
+                     to_latex, to_text)
 from .operators import degree_profile, summable_degree_bounds
 from .polynomials import Polynomial
 from .reduction import polynomial_reduce, rational_reduce
@@ -40,10 +40,14 @@ def _parse_primes(text: str) -> list:
     """The comma-separated integers of ``--primes``: ASCII digits with an
     optional sign; blanks around an item and empty items are skipped."""
     items = [item for item in map(str.strip, text.split(",")) if item]
-    for item in items:
-        if not re.fullmatch(r"[+-]?[0-9]+", item):
-            raise ValueError(f"bad prime {item!r} in --primes")
-    return [int(item) for item in items]
+    return [parse_number(item, "prime", " in --primes") for item in items]
+
+
+def _int(text: str) -> int:  # the integer options read ASCII digits only
+    return parse_number(text)
+
+
+_int.__name__ = "int"  # argparse reports "invalid int value: ..."
 
 
 def _render(value, fmt):
@@ -297,35 +301,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--factor", required=True)
     p.add_argument("--side", choices=("lower", "upper"), required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int, required=True)
     p.add_argument("--auto-grow", action="store_true", dest="auto_grow")
 
     p = add("guess", _cmd_guess, help="guess an annihilator from terms")
     p.add_argument("--terms", required=True)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--max-order", type=int, default=3, dest="max_order")
-    p.add_argument("--max-deg", type=int, default=3, dest="max_deg")
+    p.add_argument("--start", type=_int, default=0)
+    p.add_argument("--max-order", type=_int, default=3, dest="max_order")
+    p.add_argument("--max-deg", type=_int, default=3, dest="max_deg")
 
     p = add("verify", _cmd_verify, help="verify a fixture file")
     p.add_argument("--fixture", required=True)
     p.add_argument("--mode", choices=("exact", "numeric", "congruence"),
                    required=True)
-    p.add_argument("--N", type=int, default=100000, dest="n_terms")
+    p.add_argument("--N", type=_int, default=100000, dest="n_terms")
     p.add_argument("--primes", default=DEFAULT_PRIMES)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--accel", choices=("none", "average1"), default="average1")
-    p.add_argument("--window", type=int, default=120)
+    p.add_argument("--window", type=_int, default=120)
 
     p = add("eval", _cmd_eval, help="evaluate a catalog sequence exactly")
     p.add_argument("--sequence", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
 
     p = add("sum", _cmd_sum, help="exact partial sum of numer/denom * F(n)")
     p.add_argument("--sequence", required=True)
     p.add_argument("--numer", required=True)
     p.add_argument("--denom", default="1")
-    p.add_argument("--from", type=int, required=True, dest="lower")
-    p.add_argument("--to", type=int, required=True, dest="upper")
+    p.add_argument("--from", type=_int, required=True, dest="lower")
+    p.add_argument("--to", type=_int, required=True, dest="upper")
 
     return parser
 

@@ -11,6 +11,7 @@ multiplication.  ``S`` only carries nonnegative integer exponents, and
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import NegativeShiftPower, ParseError, ZeroOperator
@@ -26,6 +27,18 @@ _MAX_NESTING = 128
 
 _ZERO = Polynomial()
 _ONE = Polynomial.constant(1)
+_NUMBER = re.compile(r"\s*([+-]?[0-9]+(/[0-9]+)?)\s*")
+
+
+def parse_number(text: str, what: str = "integer", where: str = ""):
+    """The int, or for ``what`` "rational" the Fraction a or a/b, written in
+    ASCII digits with an optional sign and blanks around it: the tokenizer's
+    rule, where ``int`` and ``Fraction`` read any Unicode digit.  Anything
+    else raises ValueError("bad <what> <text><where>")."""
+    match = _NUMBER.fullmatch(text)
+    if not match or (match[2] and what != "rational"):
+        raise ValueError(f"bad {what} {text.strip()!r}{where}")
+    return Fraction(match[1]) if what == "rational" else int(match[1])
 
 
 def _tokenize(text: str):

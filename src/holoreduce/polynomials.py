@@ -1,14 +1,17 @@
 """Exact univariate polynomial and rational-function arithmetic over Q.
 
-Coefficients are :class:`fractions.Fraction` values stored densely by
-ascending power.  Every object is immutable and every operation is a pure
-function, so values can be shared freely between threads.
+A polynomial is a row of integer numerators by ascending power over one
+positive common denominator, so integer polynomials add, multiply and
+shift on ints alone; ``coeffs`` builds ``Fraction`` values on demand.
+Every object is immutable and every operation is a pure function, so
+values can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from functools import lru_cache
+from math import gcd, lcm, prod
 
 from .errors import BothZero, DivisionNotExact, ZeroPolynomial
 
@@ -17,68 +20,86 @@ from .errors import BothZero, DivisionNotExact, ZeroPolynomial
 NEG_INF = float("-inf")
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+def _exact(value):
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+    return value
+
+
+def _poly(num: tuple, den: int = 1) -> "Polynomial":
+    """The polynomial with the canonical row ``num`` over ``den``."""
+    p = object.__new__(Polynomial)
+    p._num, p._den = num, den
+    return p
+
+
+def _reduced(num: list, den: int = 1) -> "Polynomial":
+    """num / den in canonical form, for an int list num and an int den != 0."""
+    while num and not num[-1]:
+        num.pop()
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    return _poly(tuple(num), den)
 
 
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of ``n**i``; the highest stored
-    coefficient is nonzero (the empty tuple is the zero polynomial).
+    ``coeffs[i]``, the coefficient of ``n**i``, is ``_num[i] / _den``: the
+    last int of ``_num`` is nonzero (the empty tuple is the zero
+    polynomial), ``_den`` > 0 and gcd(_den, *_num) = 1, so equal
+    polynomials have equal rows.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = list(map(_exact, coeffs))
+        while cs and not cs[-1]:
             cs.pop()
-        self._coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))  # no factor common to all is left
+        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        return cls((_as_fraction(c),))
+        return cls.monomial(0, c)
 
     @classmethod
     def variable(cls) -> "Polynomial":
-        return cls((Fraction(0), Fraction(1)))
+        return _poly((0, 1))
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "Polynomial":
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        return cls((Fraction(0),) * k + (_as_fraction(c),))
+        c = _exact(c)
+        return _poly((0,) * k + (c.numerator,), c.denominator) if c else _poly(())
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def degree(self):
         """Degree as an int, or NEG_INF for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
+        return len(self._num) - 1 if self._num else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return Fraction(0)
+        return Fraction(self._num[k], self._den) if 0 <= k < len(self._num) else Fraction(0)
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
+        if not self._num:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -86,40 +107,42 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial((_as_fraction(other),))
+            return _poly((other.numerator,), other.denominator) if other else _poly(())
         return None
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         # Constant polynomials hash like their Fraction value so that
         # p == 3 implies hash(p) == hash(3).
-        if not self._coeffs:
-            return hash(Fraction(0))
-        if len(self._coeffs) == 1:
-            return hash(self._coeffs[0])
-        return hash(self._coeffs)
+        if len(self._num) < 2:
+            return hash(Fraction(self._num[0], self._den)) if self._num else 0
+        return hash((self._num, self._den))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b, den = self._num, other._num, self._den
+        if den != other._den:
+            g = gcd(den, other._den)
+            a, b = [c * (other._den // g) for c in a], [c * (den // g) for c in b]
+            den = den // g * other._den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return _reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self._coeffs))
+        return _poly(tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -132,34 +155,31 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return Polynomial()
-            return Polynomial(tuple(c * x for x in self._coeffs))
+            return _reduced([other.numerator * x for x in self._num],
+                            other.denominator * self._den)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        a, b = self._num, other._num
+        if not a or not b:
+            return _poly(())
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _reduced(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Polynomial(tuple(x / c for x in self._coeffs))
+            return self * (1 / Fraction(other)) if self._num else self
         return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Polynomial((Fraction(1),))
+        result = _poly((1,))
         base = self
         while k:
             if k & 1:
@@ -169,26 +189,29 @@ class Polynomial:
         return result
 
     def __divmod__(self, other):
-        """Euclidean division; ``other`` must be nonzero."""
-        if not isinstance(other, Polynomial):
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+        """Euclidean division; ``other`` must be nonzero.  Pseudo-division on
+        the rows, scaling them by the divisor's lead only where it does not
+        divide, and one rescale at the end."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dq = len(rem) - len(other._coeffs)
+        b = other._num
+        dq = len(self._num) - len(b)
         if dq < 0:
-            return Polynomial(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other._coeffs[-1]
+            return _poly(()), self
+        rem, quo, lead, scale = list(self._num), [0] * (dq + 1), b[-1], 1
         for k in range(dq, -1, -1):
-            c = rem[k + len(other._coeffs) - 1] / lead
-            quo[k] = c
-            if c != 0:
-                for i, b in enumerate(other._coeffs):
-                    rem[k + i] -= c * b
-        return Polynomial(quo), Polynomial(rem)
+            c = rem[k + len(b) - 1]
+            if c % lead:
+                rem, quo = [x * lead for x in rem], [x * lead for x in quo]
+                scale, c = scale * lead, c * lead
+            quo[k] = c = c // lead
+            for i, y in enumerate(b):
+                rem[k + i] -= c * y
+        den = self._den * scale
+        return _reduced([x * other._den for x in quo], den), _reduced(rem, den)
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """Divide by ``other``, raising :class:`DivisionNotExact` on remainder."""
@@ -201,26 +224,24 @@ class Polynomial:
 
     def shift(self, k: int) -> "Polynomial":
         """Return p(n + k)."""
-        if k == 0 or not self._coeffs:
+        num = self._num
+        if k == 0 or not num:
             return self
-        # Horner in (n + k): fold coefficients from the top.
-        out = Polynomial()
-        step = Polynomial((Fraction(k), Fraction(1)))
-        for c in reversed(self._coeffs):
-            out = out * step + c
-        return out
+        # a unimodular map of integer rows: the content and the lead stay
+        if any(num[:-1]):
+            return _poly(tuple(_taylor_shift(num, k)), self._den)
+        # c n^d, as the adjoint images shift: the binomial theorem in O(d)
+        d, t = len(num) - 1, num[-1]
+        row = [t] + [t := t * k * j // (d - j + 1) for j in range(d, 0, -1)]
+        return _poly(tuple(reversed(row)), self._den)
 
     def evaluate(self, x) -> Fraction:
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        return Fraction(_horner(self._num, _exact(x)), self._den)
 
     def monic(self) -> "Polynomial":
-        if not self._coeffs:
+        if not self._num:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        return self / self._coeffs[-1]
+        return _reduced(list(self._num), self._num[-1])
 
     def rational_content(self):
         """Split into ``(c, primitive)`` with ``self == c * primitive``.
@@ -228,14 +249,12 @@ class Polynomial:
         ``primitive`` has coprime integer coefficients and a positive
         leading coefficient; the zero polynomial yields ``(0, 0)``.
         """
-        if not self._coeffs:
-            return Fraction(0), Polynomial()
-        den, (nums,) = integer_rows([self])
-        g = gcd(*nums)
-        if nums[-1] < 0:
+        if not self._num:
+            return Fraction(0), _poly(())
+        g = gcd(*self._num)
+        if self._num[-1] < 0:
             g = -g
-        content = Fraction(g, den)
-        return content, Polynomial([v // g for v in nums])
+        return Fraction(g, self._den), _poly(tuple(c // g for c in self._num))
 
     def __repr__(self):
         return f"Polynomial({self.text()!r})"
@@ -245,14 +264,14 @@ class Polynomial:
 
     def text(self) -> str:
         """Canonical text form, re-parseable by the expression grammar."""
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
-            if c == 0:
+        for k in range(len(self._num) - 1, -1, -1):
+            c = self._num[k]
+            if not c:
                 continue
-            mag = abs(c)
+            mag = Fraction(abs(c), self._den)
             if k == 0:
                 body = _fraction_text(mag)
             else:
@@ -275,9 +294,8 @@ def integer_rows(polys) -> tuple:
     """Clear denominators: ``(d, rows)`` where ``d`` is the least common
     denominator of all coefficients and ``rows[i]`` lists the integer
     coefficients of ``d * polys[i]`` by ascending power."""
-    den = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return den, [[c.numerator * (den // c.denominator) for c in p.coeffs]
-                 for p in polys]
+    den = lcm(*(p._den for p in polys))
+    return den, [[c * (den // p._den) for c in p._num] for p in polys]
 
 
 def _horner(row, x):
@@ -313,14 +331,13 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
+@lru_cache(maxsize=None)
 def falling_factorial(k: int) -> Polynomial:
-    """The falling factorial s(s-1)...(s-k+1) as a polynomial; k = 0 gives 1."""
+    """The falling factorial s(s-1)...(s-k+1) as a polynomial; k = 0 gives 1.
+    Each order is built once and kept."""
     if k < 0:
         raise ValueError("falling factorial order must be nonnegative")
-    out = Polynomial((Fraction(1),))
-    for i in range(k):
-        out = out * Polynomial((Fraction(-i), Fraction(1)))
-    return out
+    return prod((_poly((-i, 1)) for i in range(k)), start=_poly((1,)))
 
 
 def _root_bound(ints) -> int:
@@ -352,7 +369,7 @@ def integer_roots(p: Polynomial) -> set:
     if not p:
         raise ZeroPolynomial("integer_roots of the zero polynomial")
     roots = set()
-    _, (ints,) = integer_rows([p])
+    ints = p._num
     # Strip n^k: zero is a root iff the constant term vanishes.
     k = 0
     while ints[k] == 0:
@@ -377,8 +394,8 @@ def integer_roots(p: Polynomial) -> set:
 
 def interpolate(points) -> Polynomial:
     """Exact polynomial through ``(x, y)`` pairs with distinct x (Newton form)."""
-    xs = [_as_fraction(x) for x, _ in points]
-    coeffs = [_as_fraction(y) for _, y in points]
+    xs = [Fraction(_exact(x)) for x, _ in points]
+    coeffs = [Fraction(_exact(y)) for _, y in points]
     for j in range(1, len(points)):
         for i in range(len(points) - 1, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
@@ -423,8 +440,7 @@ def resultant(p: Polynomial, q: Polynomial) -> Fraction:
         return q.leading_coefficient ** m
     cp, ip = p.rational_content()
     cq, iq = q.rational_content()
-    a = [c.numerator for c in ip.coeffs]
-    b = [c.numerator for c in iq.coeffs]
+    a, b = ip._num, iq._num
     size = m + n
     rows = []
     for i in range(n):
@@ -448,23 +464,18 @@ class RationalFunction:
 
     def __init__(self, numer, denom=None):
         if not isinstance(numer, Polynomial):
-            numer = Polynomial((_as_fraction(numer),))
-        if denom is None:
-            denom = Polynomial((Fraction(1),))
-        elif not isinstance(denom, Polynomial):
-            denom = Polynomial((_as_fraction(denom),))
+            numer = Polynomial.constant(numer)
+        if not isinstance(denom, Polynomial):
+            denom = Polynomial.constant(1 if denom is None else denom)
         if not denom:
             raise ZeroDivisionError("rational function with zero denominator")
         if not numer:
-            denom = Polynomial((Fraction(1),))
+            denom = _poly((1,))
         else:
             g = poly_gcd(numer, denom)
             if g.degree > 0:
-                numer = numer.exact_div(g)
-                denom = denom.exact_div(g)
-            lead = denom.leading_coefficient
-            numer = numer / lead
-            denom = denom / lead
+                numer, denom = numer.exact_div(g), denom.exact_div(g)
+            numer, denom = numer / denom.leading_coefficient, denom.monic()
         self._numer = numer
         self._denom = denom
 

@@ -15,6 +15,7 @@ from .errors import (
     InsufficientTerms,
     SingularLeadingCoefficient,
 )
+from .exprio import parse_number
 from .operators import ShiftOperator
 from .polynomials import Polynomial, _horner, integer_rows
 
@@ -418,7 +419,7 @@ def load_terms(path) -> list:
             if not line:
                 continue
             try:
-                values.append(Fraction(line))
+                values.append(parse_number(line, "rational"))
             except (ValueError, ZeroDivisionError) as err:
                 raise ValueError(f"{path}:{lineno}: bad term {line!r}") from err
     return values

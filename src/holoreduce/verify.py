@@ -22,7 +22,7 @@ from .errors import (
     PrecisionLoss,
     PrimeFilterViolation,
 )
-from .exprio import parse_polynomial
+from .exprio import parse_number, parse_polynomial
 from .operators import ShiftOperator
 from .polynomials import (
     Polynomial,
@@ -42,7 +42,7 @@ DEFAULT_PRECISION_BITS = 96
 def precision_bits() -> int:
     raw = os.environ.get(PRECISION_ENV, "")
     try:
-        bits = int(raw)
+        bits = parse_number(raw)
     except ValueError:
         return DEFAULT_PRECISION_BITS
     return max(bits, 64)
@@ -95,7 +95,8 @@ def _parse_target(text: str):
     """Parse 'r0 + r1/pi' (identity) or 'a/b mod p^2' (congruence)."""
     text = text.strip()
     if text.endswith("mod p^2"):
-        return ("congruence", Fraction(text[: -len("mod p^2")].strip()))
+        residue = text[: -len("mod p^2")]
+        return ("congruence", parse_number(residue, "rational", " in target"))
     if not text.endswith("/pi"):
         raise ValueError(f"unrecognized target {text!r}")
     body = text[: -len("/pi")].rstrip()
@@ -106,10 +107,10 @@ def _parse_target(text: str):
             split = i
             break
     if split == -1:
-        return ("identity", Fraction(0), Fraction(body))
-    r0 = Fraction(body[:split].strip() or "0")
+        return ("identity", Fraction(0), parse_number(body, "rational", " in target"))
+    r0 = parse_number(body[:split].strip() or "0", "rational", " in target")
     sign = -1 if body[split] == "-" else 1
-    r1 = sign * Fraction(body[split + 1:].strip())
+    r1 = sign * parse_number(body[split + 1:], "rational", " in target")
     return ("identity", r0, r1)
 
 
@@ -132,14 +133,14 @@ def load_fixture(path):
             source_numer=parse_polynomial(fields["source_numer"]),
             factor=parse_polynomial(fields["factor"]),
             side=fields["side"],
-            order=int(fields["order"]),
-            scalar=Fraction(fields["scalar"]),
+            order=parse_number(fields["order"], where=" for order"),
+            scalar=parse_number(fields["scalar"], "rational", " for scalar"),
         )
     common = dict(
         sequence_key=fields["sequence"],
         numer=parse_polynomial(fields["numer"]),
         denom=parse_polynomial(fields.get("denom", "1")),
-        start_index=int(fields.get("start", "0")),
+        start_index=parse_number(fields.get("start", "0"), where=" for start"),
         label=fields.get("label", ""),
         recipe=recipe,
     )
@@ -148,7 +149,7 @@ def load_fixture(path):
         residue = (1, 3)
         if "primes" in fields:
             lhs, _, mod = fields["primes"].partition("mod")
-            residue = (int(lhs), int(mod))
+            residue = tuple(parse_number(v, where=" in primes") for v in (lhs, mod))
         return CongruenceFixture(target=target[1], prime_residue=residue, **common)
     return IdentityFixture(target_r0=target[1], target_r1=target[2], **common)
 

@@ -385,6 +385,30 @@ class TestExitCodeMatrix:
             main(["classify"])  # missing --operator
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv, option, value", [
+        (("eval", "--sequence", "domb", "--n", "\u0662"), "--n", "\u0662"),
+        (("eval", "--sequence", "domb", "--n", "1_0"), "--n", "1_0"),
+        (("sum", "--sequence", "domb", "--numer", "1", "--from", "\u0660",
+          "--to", "3"), "--from", "\u0660"),
+        (("guess", "--terms", "t.txt", "--start", "\uff10"), "--start", "\uff10"),
+        (("verify", "--fixture", "f", "--mode", "exact", "--window", "\u0664"),
+         "--window", "\u0664"),
+    ])
+    def test_integer_options_take_ascii_digits_only(self, capsys, argv, option,
+                                                    value):
+        # int() reads each of these values; the expression grammar does not
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {option}: invalid int value: {value!r}\n")
+
+    def test_integer_options_take_signs_and_blanks(self, capsys):
+        assert run(capsys, "eval", "--sequence", "domb", "--n", " +2 ")[:2] == \
+            (0, "28\n")
+
 
 def test_import_leaves_mpmath_out():
     # mpmath is a third of the start-up of every command; only numeric

@@ -19,6 +19,7 @@ from holoreduce import (
     to_text,
 )
 from holoreduce.errors import NegativeShiftPower, ParseError, ZeroOperator
+from holoreduce.exprio import parse_number
 from holoreduce.sequences import DOMB_16N_OPERATOR, DOMB_NEG32N_OPERATOR
 
 from conftest import N, rand_fraction, rand_polynomial
@@ -374,3 +375,36 @@ class TestPrinters:
     def test_operator_text_form(self):
         text = to_text(DOMB_16N_OPERATOR)
         assert "*S^2" in text and "*S " in text
+
+
+class TestNumberReaders:
+    """Numbers outside the expression grammar follow its rule: ASCII digits."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("7", 7), (" -12 ", -12), ("+3", 3), ("007", 7)])
+    def test_integers(self, text, value):
+        assert parse_number(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "\u0662", "1\u0663", "\uff17", "1_000", "\u00b2", "1.0", "", "+", "3/1"])
+    def test_bad_integers(self, text):
+        # int() reads the first four as 2, 13, 7 and 1000
+        with pytest.raises(ValueError) as err:
+            parse_number(text, "integer", " for start")
+        assert str(err.value) == f"bad integer {text.strip()!r} for start"
+
+    @pytest.mark.parametrize("text, value", [
+        ("3/2", Fraction(3, 2)), (" -6/4 ", Fraction(-3, 2)), ("5", 5), ("+0", 0)])
+    def test_rationals(self, text, value):
+        assert parse_number(text, "rational") == value
+
+    @pytest.mark.parametrize("text", [
+        "\u0663/\u0662", "3/\u0662", "0.5", "1e3", "3 / 2", "/2", "3/", "inf"])
+    def test_bad_rationals(self, text):
+        # Fraction() reads the first four
+        with pytest.raises(ValueError, match="^bad rational "):
+            parse_number(text, "rational")
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            parse_number("1/0", "rational")

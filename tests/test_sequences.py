@@ -316,3 +316,12 @@ class TestTermFiles(object):
         path.write_text("1\nnot-a-number\n")
         with pytest.raises(ValueError):
             load_terms(path)
+
+    @pytest.mark.parametrize("term", ["\u0663", "\u0661/\u0664", "0.25", "1/0"])
+    def test_terms_take_ascii_rationals_only(self, tmp_path, term):
+        # Fraction() reads the first three as 3, 1/4 and 1/4
+        path = tmp_path / "terms.txt"
+        path.write_text(f"1\n{term}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_terms(path)
+        assert str(err.value) == f"{path}:2: bad term {term!r}"

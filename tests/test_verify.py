@@ -248,6 +248,9 @@ class TestNumeric:
         monkeypatch.setenv("HOLOREDUCE_PRECISION_BITS", "junk")
         report = numeric_series_check(fixture("domb_neg32_base"), 200)
         assert report["precision_bits"] == 96
+        # Arabic-Indic 150, which int() reads, is junk as well
+        monkeypatch.setenv("HOLOREDUCE_PRECISION_BITS", "\u0661\u0665\u0660")
+        assert precision_bits() == 96
 
 
 def _reference_int_coeffs(poly):
@@ -425,6 +428,39 @@ class TestFixtureFiles:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             _parse_target("2*zeta(3)")
+
+    @pytest.mark.parametrize("text", [
+        "\u0663/\u0662 mod p^2", "\u0660 + \u0661\u0668/pi", "0 + \u0661\u0668/pi",
+        "\u0661\u0668/pi", "0.5 + 2/pi", "1e1 mod p^2"])
+    def test_target_takes_ascii_rationals_only(self, text):
+        # Fraction() reads each of these
+        with pytest.raises(ValueError, match=r"^bad rational .* in target$"):
+            _parse_target(text)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("start", "\u0662", "bad integer '\u0662' for start"),
+        ("primes", "\u0661 mod \u0663", "bad integer '\u0661' in primes"),
+        ("primes", "1 mod 3_0", "bad integer '3_0' in primes"),
+        ("target", "\u0663/\u0662 mod p^2", "bad rational '\u0663/\u0662' in target"),
+        ("order", "\u0662", "bad integer '\u0662' for order"),
+        ("scalar", "\u0661/\u0669", "bad rational '\u0661/\u0669' for scalar"),
+    ])
+    def test_fixture_numbers_take_ascii_digits_only(self, tmp_path, key, value,
+                                                    message):
+        fields = {"sequence": "domb_over_16n", "numer": "(n+1)^2",
+                  "denom": "n*(n-1)", "start": "2", "primes": "1 mod 3",
+                  "target": "3/2 mod p^2", "source_numer": "3*n + 1",
+                  "factor": "n + 1", "side": "lower", "order": "2", "scalar": "2"}
+        path = tmp_path / "f.fixture"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()),
+                        encoding="utf-8")
+        assert load_fixture(str(path)).start_index == 2
+        fields[key] = value
+        path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()),
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_fixture(str(path))
+        assert str(err.value) == message
 
     def test_domb_neg32_lower_sq_metadata(self):
         fix = fixture("domb_neg32_lower_sq")
