@@ -34,7 +34,7 @@ def _poly(num: tuple, den: int = 1) -> "Polynomial":
 
 
 def _reduced(num: list, den: int = 1) -> "Polynomial":
-    """num / den in canonical form, for an int list num and an int den != 0."""
+    """num / den in canonical form; trims the int list num in place; den != 0."""
     while num and not num[-1]:
         num.pop()
     g = gcd(den, *num) if den > 0 else -gcd(den, *num)
