@@ -21,7 +21,6 @@ from .errors import (
 from .polynomials import (
     NEG_INF,
     Polynomial,
-    _reduced,
     falling_factorial,
     integer_roots,
     integer_rows,
@@ -190,33 +189,24 @@ def degree_profile(op: ShiftOperator) -> DegreeProfile:
 
 def _profile(op: ShiftOperator) -> DegreeProfile:
     J = op.order
-    den, rows = integer_rows(op.adjoint_coeffs)
-    # den * b_k has the integer row sum_i C(J-i, k) rows[i]
-    b_rows = [[0] * max(map(len, rows)) for _ in range(J + 1)]
-    for i, row in enumerate(rows):
-        for k in range(J - i + 1):
-            for t, v in enumerate(row):
-                b_rows[k][t] += comb(J - i, k) * v
-    b_polys = tuple(_reduced(row[:], den) for row in b_rows)
+    adjoint = op.adjoint_coeffs
+    b_polys = tuple(
+        sum((comb(J - i, k) * adjoint[i] for i in range(J - k + 1)), Polynomial())
+        for k in range(J + 1)
+    )
     deg_l = max(b.degree - k for k, b in enumerate(b_polys))
     if deg_l == NEG_INF:
         raise InternalInconsistency("all b_k vanish for a nonzero operator")
     deg_l = int(deg_l)
     d_l = int(max(c.degree for c in op.coeffs))
 
-    # den * f(s): the falling factorials' rows hold the Stirling numbers
-    f_row = [0] * (J + 1)
-    for k, row in enumerate(b_rows):
-        c = row[deg_l + k] if 0 <= deg_l + k < len(row) else 0
-        for j, v in enumerate(falling_factorial(k)._num if c else ()):
-            f_row[j] += c * v
-    f = _reduced(f_row, den)
+    f = sum((b.coefficient(deg_l + k) * falling_factorial(k)
+             for k, b in enumerate(b_polys)), Polynomial())
     if f.is_zero():
         raise InternalInconsistency("f(s) vanished identically")
     r_l = frozenset(s for s in integer_roots(f) if s >= 0)
 
-    c_l = next((s for s in range(J + 1)  # L*(1) = b_0
-                if (op.adjoint_image(s) if s else b_polys[0])), None)
+    c_l = next((s for s in range(J + 1) if not op.adjoint_image(s).is_zero()), None)
     if c_l is None:
         raise InternalInconsistency("no s <= J with L*(n^s) != 0")
 

@@ -222,18 +222,13 @@ class Polynomial:
 
     # -- structural operations ----------------------------------------------
 
-    def shift(self, k: int) -> "Polynomial":
-        """Return p(n + k)."""
-        num = self._num
-        if k == 0 or not num:
+    def shift(self, k) -> "Polynomial":
+        """Return p(n + k) for an int or Fraction k."""
+        if not _exact(k) or not self._num:
             return self
-        # a unimodular map of integer rows: the content and the lead stay
-        if any(num[:-1]):
-            return _poly(tuple(_taylor_shift(num, k)), self._den)
-        # c n^d, as the adjoint images shift: the binomial theorem in O(d)
-        d, t = len(num) - 1, num[-1]
-        row = [t] + [t := t * k * j // (d - j + 1) for j in range(d, 0, -1)]
-        return _poly(tuple(reversed(row)), self._den)
+        if isinstance(k, int):  # unimodular on integer rows: the content stays
+            return _poly(tuple(_taylor_shift(self._num, k)), self._den)
+        return Polynomial(_taylor_shift(self._num, k)) / self._den
 
     def evaluate(self, x) -> Fraction:
         return Fraction(_horner(self._num, _exact(x)), self._den)

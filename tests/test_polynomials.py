@@ -589,6 +589,7 @@ _OPS = {
     "exact_div(a + 1)": lambda ns, a, b, d, c, k, x, e: (a + 1).exact_div(d),
     "shift(k)": lambda ns, a, b, d, c, k, x, e: a.shift(k),
     "shift(-k)": lambda ns, a, b, d, c, k, x, e: a.shift(-k),
+    "shift(c)": lambda ns, a, b, d, c, k, x, e: a.shift(c),
     "evaluate(x)": lambda ns, a, b, d, c, k, x, e: a.evaluate(x),
     "evaluate(k)": lambda ns, a, b, d, c, k, x, e: a.evaluate(k),
     "monic": lambda ns, a, b, d, c, k, x, e: a.monic(),
@@ -643,6 +644,7 @@ class TestReferenceKernel:
         p, q, r = (Polynomial(row) for row in (a, b, d))
         pairs = [((p + q) * r, p * r + q * r),
                  (p.shift(k).shift(-k), p),
+                 (p.shift(Fraction(k, 2)).shift(Fraction(-k, 2)), p),
                  (Polynomial(p.coeffs), p),
                  ((p * r).exact_div(r), p),
                  (divmod(p * r + q, r)[0] * r + divmod(p * r + q, r)[1], p * r + q),
@@ -664,6 +666,14 @@ class TestReferenceKernel:
             Polynomial(bad)
         with pytest.raises(TypeError):
             Polynomial.constant(bad[-1])
+
+    def test_shift_by_fractions_and_only_exact_values(self):
+        n = Polynomial.variable()
+        assert n.shift(Fraction(1, 2)) == n + Fraction(1, 2)
+        assert (n**3).shift(Fraction(-1, 3)) == (n - Fraction(1, 3)) ** 3
+        for bad in (0.5, "1", None):
+            with pytest.raises(TypeError):
+                n.shift(bad)
 
     def test_integer_rows_read_stored_rows(self):
         p = Polynomial([Fraction(1, 6), Fraction(-2, 3), 5])
