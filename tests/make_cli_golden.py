@@ -39,6 +39,8 @@ RL_LEAKS = "(n+1) - (n+3)*S"
 ORDER3_CL1 = "3 - 2*S - (3*n+1)*S^2 + (3*n+3)*S^3"
 # coefficients with denominators
 FRACTIONAL = "(n+1)/3 - (2*n+5)/7*S"
+# fraction coefficients through powers of quotients and division by a quotient
+FRACTION_POWERS = "((n+1)/2)^3 - (2*n+3)/(4/3)*S + (3/5*(n+2))^2*S^2"
 
 IDENTITY_FIXTURES = (
     "domb_neg32_base",
@@ -205,6 +207,21 @@ def cases() -> list:
         ("verify", "--fixture", "@golden/unicode_recipe.fixture",
          "--mode", "exact", "--window", "40"),
     ]
+    for fmt in FORMATS:
+        out.append(("classify", "--operator", FRACTION_POWERS, "--format", fmt))
+    out += [
+        # parse errors: a superscript digit, an unbalanced parenthesis and
+        # the shift, degree and nesting limits
+        ("classify", "--operator", "n² - S"),
+        ("classify", "--operator", "((n+1) - S"),
+        ("classify", "--operator", "S^513"),
+        ("reduce", "--operator", "S - 1", "--poly", "(n+1)^601"),
+        ("classify", "--operator", "(" * 129 + "S" + ")" * 129),
+    ]
+    for tol in ("1e-4", "0", "0.5", ".5E+1", " 2 ", "١e-4", "inf", "nan",
+                "-1", "1e999", "1_0", "0x1"):
+        out.append(("verify", "--fixture", "@fixtures/domb_neg32_upper_sq.fixture",
+                    "--mode", "numeric", "--N", "200", "--tol", tol))
     return [list(argv) for argv in out]
 
 
