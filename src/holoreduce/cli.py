@@ -14,11 +14,10 @@ from fractions import Fraction
 from .errors import (
     HoloreduceError,
     IrreducibleAtThisI,
-    ParseError,
     PrecisionLoss,
 )
-from .exprio import (SCHEMA, _body, parse_number, parse_operator, parse_polynomial,
-                     to_latex, to_text)
+from .exprio import (SCHEMA, _body, parse_decimal, parse_number, parse_operator,
+                     parse_polynomial, to_latex, to_text)
 from .operators import degree_profile, summable_degree_bounds
 from .polynomials import Polynomial
 from .reduction import polynomial_reduce, rational_reduce
@@ -48,6 +47,13 @@ def _int(text: str) -> int:  # the integer options read ASCII digits only
 
 
 _int.__name__ = "int"  # argparse reports "invalid int value: ..."
+
+
+def _tol(text: str) -> float:  # finite and >= 0, so no PASS or FAIL is vacuous
+    return parse_decimal(text)
+
+
+_tol.__name__ = "float"
 
 
 def _render(value, fmt):
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--N", type=_int, default=100000, dest="n_terms")
     p.add_argument("--primes", default=DEFAULT_PRIMES)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_tol, default=1e-4)
     p.add_argument("--accel", choices=("none", "average1"), default="average1")
     p.add_argument("--window", type=_int, default=120)
 

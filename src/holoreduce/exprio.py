@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import isfinite
 
 from .errors import NegativeShiftPower, ParseError, ZeroOperator
 from .polynomials import Polynomial, RationalFunction, poly_gcd
@@ -28,6 +29,7 @@ _MAX_NESTING = 128
 _ZERO = Polynomial()
 _ONE = Polynomial.constant(1)
 _NUMBER = re.compile(r"\s*([+-]?[0-9]+(/[0-9]+)?)\s*")
+_DECIMAL = re.compile(r"\s*([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*")
 
 
 def parse_number(text: str, what: str = "integer", where: str = ""):
@@ -41,46 +43,43 @@ def parse_number(text: str, what: str = "integer", where: str = ""):
     return Fraction(match[1]) if what == "rational" else int(match[1])
 
 
+def parse_decimal(text: str) -> float:
+    """A finite float >= 0 in ASCII digits, point and exponent optional, blanks
+    around; float's "inf", "nan", signs and "_" raise ValueError."""
+    if not _DECIMAL.fullmatch(text) or not isfinite(float(text)):
+        raise ValueError(f"bad decimal {text.strip()!r}")
+    return float(text)
+
+
+# a token is a run of ASCII digits (str.isdigit takes superscripts too) or
+# one other character; \s skips exactly the blanks str.isspace takes
+_TOKEN = re.compile(r"[0-9]+|\S")
+_KIND = {"n": "var", "S": "shift", **{c: c for c in "+-*/^()"}}
+
+
 def _tokenize(text: str):
     if len(text) > 4096:
         raise ParseError("input too long", 4096)
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "0123456789":  # ASCII only: str.isdigit takes superscripts too
-            j = i
-            while j < len(text) and text[j] in "0123456789":
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "n":
-            tokens.append(("var", ch, i))
-            i += 1
-            continue
-        if ch == "S":
-            tokens.append(("shift", ch, i))
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(
-            f"unexpected character {ch!r}", i,
-            expected={"integer", "n", "S", "operator", "parenthesis"},
-        )
+    for match in _TOKEN.finditer(text):
+        tok = match[0]
+        if tok in _KIND:
+            tokens.append((_KIND[tok], tok, match.start()))
+        elif tok[0] in "0123456789":
+            tokens.append(("int", int(tok), match.start()))
+        else:
+            raise ParseError(
+                f"unexpected character {tok!r}", match.start(),
+                expected={"integer", "n", "S", "operator", "parenthesis"},
+            )
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Value:
-    """Sum over k of ``parts[k] / den * S^k``: polynomial numerators over
-    one shared polynomial denominator.
+    """Sum over k of ``parts[k] / den * S^k``: nonzero polynomial numerators
+    over one shared denominator, which stays the object ``_ONE`` (and is
+    never multiplied) until a division by a non-constant.
 
     Nothing is reduced while parsing; the ``parse_*`` functions divide out
     each S-power's gcd once, at the end.  The degree limit still means the
@@ -91,7 +90,7 @@ class _Value:
     __slots__ = ("parts", "den")
 
     def __init__(self, parts, den=_ONE):
-        self.parts = {k: v for k, v in parts.items() if v}
+        self.parts = parts
         self.den = den
 
     def degree_bound(self) -> int:
@@ -99,7 +98,7 @@ class _Value:
         upper bound on the reduced degree."""
         if not self.parts:
             return 0
-        return max(int(self.den.degree), *(int(v.degree) for v in self.parts.values()))
+        return max(self.den.degree, *(v.degree for v in self.parts.values()))
 
     def reduced_degree(self) -> int:
         """The degree the limit measures: the largest numerator or
@@ -120,14 +119,14 @@ class _Value:
 
     def add(self, other):
         mine, theirs, den = self.parts, other.parts, self.den
-        if self.den != other.den:
-            mine = {k: v * other.den for k, v in mine.items()}
-            theirs = {k: v * self.den for k, v in theirs.items()}
-            den = self.den * other.den
+        if den is not other.den and den != other.den:
+            mine = {k: _product(v, other.den) for k, v in mine.items()}
+            theirs = {k: _product(v, den) for k, v in theirs.items()}
+            den = _product(den, other.den)
         parts = dict(mine)
         for k, v in theirs.items():
-            parts[k] = parts.get(k, _ZERO) + v
-        return _Value(parts, den)
+            parts[k] = parts[k] + v if k in parts else v
+        return _Value({k: v for k, v in parts.items() if v}, den)
 
     def neg(self):
         return _Value({k: -v for k, v in self.parts.items()}, self.den)
@@ -141,8 +140,9 @@ class _Value:
             for j, b in other.parts.items():
                 if i + j > _MAX_SHIFT:
                     raise ParseError("shift power limit exceeded", pos)
-                parts[i + j] = parts.get(i + j, _ZERO) + a * b
-        return _Value(parts, self.den * other.den)
+                parts[i + j] = parts[i + j] + a * b if i + j in parts else a * b
+        return _Value({k: v for k, v in parts.items() if v},
+                      _product(self.den, other.den))
 
     def div(self, other, pos):
         if any(k > 0 for k in other.parts):
@@ -150,11 +150,11 @@ class _Value:
         if not other.parts:
             raise ParseError("division by zero", pos)
         num = other.parts[0]
-        if num.degree == 0:
-            scale = other.den / num.leading_coefficient
-            return _Value({k: v * scale for k, v in self.parts.items()}, self.den)
-        return _Value({k: v * other.den for k, v in self.parts.items()},
-                      self.den * num)
+        parts = {k: _product(v, other.den) for k, v in self.parts.items()}
+        if num.degree > 0:
+            return _Value(parts, _product(self.den, num))
+        scale = 1 / num.leading_coefficient  # a scalar: no Polynomial for 1/c
+        return _Value({k: v * scale for k, v in parts.items()}, self.den)
 
     def pow(self, e, pos):
         if e > _MAX_EXPONENT:
@@ -162,6 +162,11 @@ class _Value:
         if (self.degree_bound() * e > _MAX_DEGREE
                 and self.reduced_degree() * e > _MAX_DEGREE):
             raise ParseError("degree limit exceeded", pos)
+        if len(self.parts) == 1:  # one S-power: no cross terms
+            [(k, v)] = self.parts.items()
+            if k * e > _MAX_SHIFT:
+                raise ParseError("shift power limit exceeded", pos)
+            return _Value({k * e: v ** e}, self.den if self.den is _ONE else self.den ** e)
         result = _Value({0: _ONE})
         base = self
         while e:
@@ -170,6 +175,11 @@ class _Value:
             base = base.mul(base, pos) if e > 1 else base
             e >>= 1
         return result
+
+
+def _product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b, skipping a factor that is the constant ``_ONE``."""
+    return b if a is _ONE else a if b is _ONE else a * b
 
 
 class _Parser:
@@ -236,7 +246,7 @@ class _Parser:
     def atom(self) -> _Value:
         kind, val, pos = self.advance()
         if kind == "int":
-            return _Value({0: Polynomial.constant(val)})
+            return _Value({0: Polynomial.constant(val)} if val else {})
         if kind == "var":
             return _Value({0: Polynomial.variable()})
         if kind == "shift":
@@ -255,18 +265,9 @@ class _Parser:
                          expected={"integer", "n", "S", "("})
 
 
-def _parse_value(text: str) -> _Value:
-    return _Parser(text).parse()
-
-
-def _first_shift_pos(text: str) -> int:
-    for kind, _, pos in _tokenize(text):
-        if kind == "shift":
-            return pos
-    return 0
-
-
 def _polynomial(num: Polynomial, den: Polynomial, message: str) -> Polynomial:
+    if den is _ONE:
+        return num
     quo, rem = divmod(num, den)
     if rem:
         raise ParseError(message, 0)
@@ -274,24 +275,24 @@ def _polynomial(num: Polynomial, den: Polynomial, message: str) -> Polynomial:
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    value = _parse_value(text)
+    value = _Parser(text).parse()
     if any(k > 0 for k in value.parts):
         raise ParseError("the shift symbol S is not allowed in a polynomial",
-                         _first_shift_pos(text))
+                         text.index("S"))
     return _polynomial(value.parts.get(0, _ZERO), value.den,
                        "expression is a rational function, not a polynomial")
 
 
 def parse_rational_function(text: str) -> RationalFunction:
-    value = _parse_value(text)
+    value = _Parser(text).parse()
     if any(k > 0 for k in value.parts):
         raise ParseError("the shift symbol S is not allowed here",
-                         _first_shift_pos(text))
+                         text.index("S"))
     return RationalFunction(value.parts.get(0, _ZERO), value.den)
 
 
 def parse_operator(text: str) -> ShiftOperator:
-    value = _parse_value(text)
+    value = _Parser(text).parse()
     if not value.parts:
         raise ZeroOperator("parsed operator is zero")
     return ShiftOperator([

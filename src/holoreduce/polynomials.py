@@ -179,14 +179,14 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = _poly((1,))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        if self._num and not any(self._num[:-1]):  # c*n^d: gcd(c^k, den^k) = 1
+            return _poly((0,) * (k * self.degree) + (self._num[-1] ** k,), self._den ** k)
+        result = self
+        for bit in bin(k)[3:]:  # left to right: no product with 1, no spare square
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result if k else _poly((1,))
 
     def __divmod__(self, other):
         """Euclidean division; ``other`` must be nonzero.  Pseudo-division on

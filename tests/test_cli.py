@@ -409,6 +409,30 @@ class TestExitCodeMatrix:
         assert run(capsys, "eval", "--sequence", "domb", "--n", " +2 ")[:2] == \
             (0, "28\n")
 
+    NUMERIC = ("verify", "--fixture", fixture_path("domb_neg32_upper_sq"),
+               "--mode", "numeric", "--N", "200", "--tol")
+
+    @pytest.mark.parametrize("value", [
+        "١e-4", "inf", "nan", "-1", "1e999", "1_0", "+1", "0x1", "", "1e"])
+    def test_tol_takes_finite_ascii_decimals_only(self, capsys, value):
+        # float() reads the first seven: inf made every check PASS, nan and
+        # -1 every check FAIL, and the others read as numbers
+        with pytest.raises(SystemExit) as err:
+            main([*self.NUMERIC, value])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --tol: invalid float value: {value!r}\n")
+
+    @pytest.mark.parametrize("value, shown, code", [
+        ("1e-4", "0.0001", 0), ("0.5", "0.5", 0), (".5E+1", "5.0", 0),
+        (" 2 ", "2.0", 0), ("7.", "7.0", 0), ("0", "0.0", 1)])
+    def test_tol_takes_decimals(self, capsys, value, shown, code):
+        got, out, _ = run(capsys, *self.NUMERIC, value)
+        assert got == code
+        assert f"\ntolerance = {shown}\n" in out
+
 
 def test_import_leaves_mpmath_out():
     # mpmath is a third of the start-up of every command; only numeric

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from holoreduce import (
@@ -19,7 +19,7 @@ from holoreduce import (
     to_text,
 )
 from holoreduce.errors import NegativeShiftPower, ParseError, ZeroOperator
-from holoreduce.exprio import parse_number
+from holoreduce.exprio import _tokenize, parse_number
 from holoreduce.sequences import DOMB_16N_OPERATOR, DOMB_NEG32N_OPERATOR
 
 from conftest import N, rand_fraction, rand_polynomial
@@ -150,6 +150,72 @@ class TestRoundTrip:
         assert print_value(p, "structured") == print_value(p, "structured")
 
 
+def _reference_tokenize(text: str):
+    """The character-loop tokenizer the one-regex ``_tokenize`` replaced,
+    kept verbatim as its oracle."""
+    if len(text) > 4096:
+        raise ParseError("input too long", 4096)
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "0123456789":  # ASCII only: str.isdigit takes superscripts too
+            j = i
+            while j < len(text) and text[j] in "0123456789":
+                j += 1
+            tokens.append(("int", int(text[i:j]), i))
+            i = j
+            continue
+        if ch == "n":
+            tokens.append(("var", ch, i))
+            i += 1
+            continue
+        if ch == "S":
+            tokens.append(("shift", ch, i))
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(
+            f"unexpected character {ch!r}", i,
+            expected={"integer", "n", "S", "operator", "parenthesis"},
+        )
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return type(err), err.position, str(err), err.expected
+
+
+class TestTokenizer:
+    # the grammar, digits str.isdigit takes but the grammar does not, blanks
+    # str.isspace takes beyond ASCII, and stray characters
+    ALPHABET = ("0123456789nS+-*/^() " "\u00b2\u0663\uff17"
+                "\u00a0\u3000\x1c\u2028\t\n" "xs._\\\u00e9\U0001d7d9")
+
+    @given(text=st.text(alphabet=ALPHABET, max_size=80))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, text):
+        assert _tokens_or_error(_tokenize, text) == \
+            _tokens_or_error(_reference_tokenize, text)
+
+    @pytest.mark.parametrize("text", [
+        "1" * 4096, " " * 4096, "1" * 4097, "\u00b2" * 4097, "",
+        "12 345\u00a0n\u3000S", "007^12", "3\u0663", "n\x1cS"])
+    def test_matches_reference_at_the_edges(self, text):
+        assert _tokens_or_error(_tokenize, text) == \
+            _tokens_or_error(_reference_tokenize, text)
+
+
 class TestFuzzTotality:
     ALPHABET = "0123456789nS+-*/^() .x\\"
 
@@ -192,6 +258,26 @@ class TestLimits:
     def test_shift_power_over_limit(self):
         assert_parse_error(parse_operator, "S^513", 1)
         assert_parse_error(parse_operator, "S^300*S^300", 5)
+
+    @pytest.mark.parametrize("parse, text, position, message", [
+        (parse_operator, "(2*S)^513", 5, "shift power limit exceeded"),
+        (parse_operator, "(n*S)^513", 5, "shift power limit exceeded"),
+        (parse_polynomial, "(n^2)^301", 5, "degree limit exceeded"),
+        # both limits broken: the degree is checked first
+        (parse_operator, "(n^2*S)^513", 7, "degree limit exceeded"),
+    ])
+    def test_limits_of_a_one_shift_power(self, parse, text, position, message):
+        # a power of one S-power is built directly, with the limits of
+        # repeated squaring checked first, at the same token
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} at position {position}"
+
+    def test_one_shift_power_at_the_limits(self):
+        assert parse_operator("S^512") == ShiftOperator([0] * 512 + [1])
+        assert parse_polynomial("(n^2)^300") == N**600
+        assert parse_operator("(n^2*S)^256").coeffs[-1] == N**512
+        assert parse_operator("(2*S)^0") == parse_operator("1")
 
     def test_high_power_of_rational_function(self):
         r = parse_rational_function("((n^2+1)/(n+1))^60")
@@ -296,14 +382,14 @@ def _expected(parse, parts):
     return value.as_polynomial()
 
 
-def _trees(leaves, divisors=None):
+def _trees(leaves, divisors=None, max_exponent=3):
     """Expression trees over ``leaves``; with ``divisors``, also quotients
     by a divisor tree or by any tree (which may contain S or be zero)."""
     def extend(kids):
         ops = [
             st.tuples(st.sampled_from("+-*"), kids, kids),
             st.tuples(st.just("neg"), kids),
-            st.tuples(st.just("^"), kids, st.integers(0, 3)),
+            st.tuples(st.just("^"), kids, st.integers(0, max_exponent)),
         ]
         if divisors is not None:
             ops.append(st.tuples(st.just("/"), kids, st.one_of(divisors, kids)))
@@ -316,26 +402,68 @@ _SHIFT_FREE = st.one_of(st.tuples(st.just("int"), st.integers(0, 12)),
 _EXPRESSIONS = _trees(st.one_of(_SHIFT_FREE, st.just(("S",))),
                       divisors=_trees(_SHIFT_FREE))
 
+# Wider trees: literal quotients a/b as leaves (a division by a constant),
+# powers up to 7, and powers of a shift-free tree times one S-power (the
+# direct power of a single S-power), so every arithmetic path of the
+# parser's values runs against the oracle.
+_QUOTIENTS = st.tuples(st.just("/"), st.tuples(st.just("int"), st.integers(0, 40)),
+                       st.tuples(st.just("int"), st.integers(1, 12)))
+_WIDE_SHIFT_FREE = st.one_of(_SHIFT_FREE, _QUOTIENTS)
+_ONE_SHIFT_POWERS = st.tuples(
+    st.just("^"),
+    st.tuples(st.just("*"), _trees(_WIDE_SHIFT_FREE, max_exponent=7),
+              st.one_of(st.just(("S",)),
+                        st.tuples(st.just("^"), st.just(("S",)), st.integers(0, 3)))),
+    st.integers(0, 7))
+_WIDE_EXPRESSIONS = _trees(
+    st.one_of(_WIDE_SHIFT_FREE, st.just(("S",)), _ONE_SHIFT_POWERS),
+    divisors=_trees(_WIDE_SHIFT_FREE, max_exponent=7), max_exponent=7)
+
+
+def _size(tree):
+    """Upper bounds on the degree and the S-power of the parser's unreduced
+    value of ``tree``."""
+    kind = tree[0]
+    if kind in ("int", "n", "S"):
+        return int(kind == "n"), int(kind == "S")
+    sizes = [_size(t) for t in tree[1:] if isinstance(t, tuple)]
+    if kind == "^":
+        return sizes[0][0] * tree[2], sizes[0][1] * tree[2]
+    return sum(d for d, _ in sizes), sum(s for _, s in sizes)
+
+
+def _assert_parsers_match(tree):
+    text = _show(tree)
+    graceful = (ParseError, NegativeShiftPower, ZeroOperator)
+    for parse in (parse_polynomial, parse_rational_function,
+                  parse_operator):
+        try:
+            want = _expected(parse, _evaluate(tree))
+        except graceful as err:
+            with pytest.raises(type(err)):
+                parse(text)
+            continue
+        got = parse(text)
+        assert got == want
+        assert to_text(got) == to_text(want)
+        assert print_value(got, "latex") == print_value(want, "latex")
+        assert print_value(got, "structured") == print_value(want, "structured")
+
 
 class TestDifferential:
     @given(tree=_EXPRESSIONS)
     @settings(max_examples=300, deadline=None)
     def test_parsers_match_rational_arithmetic(self, tree):
-        text = _show(tree)
-        graceful = (ParseError, NegativeShiftPower, ZeroOperator)
-        for parse in (parse_polynomial, parse_rational_function,
-                      parse_operator):
-            try:
-                want = _expected(parse, _evaluate(tree))
-            except graceful as err:
-                with pytest.raises(type(err)):
-                    parse(text)
-                continue
-            got = parse(text)
-            assert got == want
-            assert to_text(got) == to_text(want)
-            assert print_value(got, "latex") == print_value(want, "latex")
-            assert print_value(got, "structured") == print_value(want, "structured")
+        _assert_parsers_match(tree)
+
+    @given(tree=_WIDE_EXPRESSIONS)
+    @settings(max_examples=300, deadline=None)
+    def test_wide_trees_match_rational_arithmetic(self, tree):
+        # far inside the limits, which the oracle does not know, and small
+        # enough for its reduce-after-every-operation arithmetic
+        degree, shift = _size(tree)
+        assume(degree <= 40 and shift <= 24)
+        _assert_parsers_match(tree)
 
 
 class TestPrinters:

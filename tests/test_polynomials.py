@@ -585,6 +585,8 @@ _OPS = {
     "a * int(c)": lambda ns, a, b, d, c, k, x, e: a * int(c),
     "a / c": lambda ns, a, b, d, c, k, x, e: a / c,
     "a ** e": lambda ns, a, b, d, c, k, x, e: a ** e,
+    "a ** (2e + 3)": lambda ns, a, b, d, c, k, x, e: a ** (2 * e + 3),
+    "monomial ** e": lambda ns, a, b, d, c, k, x, e: type(a).monomial(k, c) ** e,
     "divmod(a, d)": lambda ns, a, b, d, c, k, x, e: divmod(a, d),
     "divmod(a, b)": lambda ns, a, b, d, c, k, x, e: divmod(a, b),
     "divmod(a * d + b, d)": lambda ns, a, b, d, c, k, x, e: divmod(a * d + b, d),
