@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     HoloreduceError,
@@ -42,18 +43,10 @@ def _parse_primes(text: str) -> list:
     return [parse_number(item, "prime", " in --primes") for item in items]
 
 
-def _int(text: str) -> int:  # the integer options read ASCII digits only
-    return parse_number(text)
-
-
-_int.__name__ = "int"  # argparse reports "invalid int value: ..."
-
-
-def _tol(text: str) -> float:  # finite and >= 0, so no PASS or FAIL is vacuous
-    return parse_decimal(text)
-
-
-_tol.__name__ = "float"
+# Option types named for argparse's "invalid int value: ..." message: ASCII
+# integers, and a finite tolerance >= 0, so that no PASS or FAIL is vacuous.
+_int, _tol = partial(parse_number), partial(parse_decimal)
+_int.__name__, _tol.__name__ = "int", "float"
 
 
 def _render(value, fmt):
