@@ -140,7 +140,8 @@ class _Value:
             for j, b in other.parts.items():
                 if i + j > _MAX_SHIFT:
                     raise ParseError("shift power limit exceeded", pos)
-                parts[i + j] = parts[i + j] + a * b if i + j in parts else a * b
+                ab = _product(a, b)
+                parts[i + j] = parts[i + j] + ab if i + j in parts else ab
         return _Value({k: v for k, v in parts.items() if v},
                       _product(self.den, other.den))
 
@@ -266,8 +267,6 @@ class _Parser:
 
 
 def _polynomial(num: Polynomial, den: Polynomial, message: str) -> Polynomial:
-    if den is _ONE:
-        return num
     quo, rem = divmod(num, den)
     if rem:
         raise ParseError(message, 0)

@@ -179,8 +179,6 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        if self._num and not any(self._num[:-1]):  # c*n^d: gcd(c^k, den^k) = 1
-            return _poly((0,) * (k * self.degree) + (self._num[-1] ** k,), self._den ** k)
         result = self
         for bit in bin(k)[3:]:  # left to right: no product with 1, no spare square
             result = result * result
