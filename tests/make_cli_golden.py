@@ -18,7 +18,9 @@ import json
 import os
 from pathlib import Path
 
-from holoreduce import fixtures_dir, franel_number
+from fractions import Fraction
+
+from holoreduce import domb_number, fixtures_dir, franel_number
 from holoreduce.cli import main as cli_main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -222,6 +224,18 @@ def cases() -> list:
                 "-1", "1e999", "1_0", "0x1"):
         out.append(("verify", "--fixture", "@fixtures/domb_neg32_upper_sq.fixture",
                     "--mode", "numeric", "--N", "200", "--tol", tol))
+    for fmt in ("text", "structured"):
+        f = ("--format", fmt)
+        out += [
+            # rational terms: powers of 2 below, then mixed signs over
+            # unrelated denominators, found and (order 1, degree 1) not
+            ("guess", "--terms", "@golden/domb_16n_terms.txt", "--start", "0",
+             "--max-order", "2", "--max-deg", "3", *f),
+            ("guess", "--terms", "@golden/mixed_terms.txt", "--start", "0",
+             "--max-order", "2", "--max-deg", "3", *f),
+            ("guess", "--terms", "@golden/mixed_terms.txt", "--start", "0",
+             "--max-order", "1", "--max-deg", "1", *f),
+        ]
     return [list(argv) for argv in out]
 
 
@@ -274,7 +288,12 @@ UNICODE_FIXTURES = {
 
 def write_input_files() -> None:
     files = {"franel_terms.txt": [franel_number(k) for k in range(30)],
-             "primes_terms.txt": PRIMES}
+             "primes_terms.txt": PRIMES,
+             "domb_16n_terms.txt": [Fraction(domb_number(k), 16**k)
+                                    for k in range(30)],
+             # (-5/7)^n/(n+3) + (3/11)^n
+             "mixed_terms.txt": [Fraction(-5, 7)**k / (k + 3) + Fraction(3, 11)**k
+                                 for k in range(30)]}
     for name, terms in files.items():
         (GOLDEN_DIR / name).write_text("".join(f"{t}\n" for t in terms))
     for name, text in UNICODE_FIXTURES.items():
