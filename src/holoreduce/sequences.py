@@ -8,7 +8,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import (
     IndexBelowStart,
@@ -17,7 +17,7 @@ from .errors import (
 )
 from .exprio import parse_number
 from .operators import ShiftOperator
-from .polynomials import Polynomial, _horner, integer_rows
+from .polynomials import Polynomial, _exact, _horner, integer_rows
 
 _n = Polynomial.variable()
 # Indices per step of a private series_terms walk: a consumer that stops
@@ -47,8 +47,8 @@ class HolonomicSequence:
         self.start_index = int(start_index)
         self.name = name
         self.oracle = oracle
-        self.overrides = dict(overrides or {})
-        self._initial = tuple(Fraction(v) for v in initial_values)
+        self.overrides = {k: Fraction(_exact(v)) for k, v in (overrides or {}).items()}
+        self._initial = tuple(Fraction(_exact(v)) for v in initial_values)
         if operator is not None and len(self._initial) < operator.order:
             raise ValueError(
                 f"need {operator.order} initial values, got {len(self._initial)}"
@@ -114,7 +114,7 @@ class HolonomicSequence:
         while len(values) < count:
             t = start + len(values)  # index being produced
             if t in self.overrides:
-                values.append(convert(Fraction(self.overrides[t])))
+                values.append(convert(self.overrides[t]))
                 continue
             if rows is not None:
                 m = t - len(rows) + 1  # recurrence base point
@@ -324,25 +324,27 @@ def get_sequence(key: str) -> HolonomicSequence:
 
 
 def _nullspace_vectors(rows, width):
-    """Basis of the exact nullspace of the given row matrix over Q."""
-    mat = [row[:] for row in rows]
+    """Basis of the exact nullspace over Q of the given integer row matrix,
+    by fraction-free Gauss-Jordan elimination: a pivot p in column c clears
+    row i as p*row_i - row_i[c]*pivot_row, and every changed row is divided
+    by its content.  Rows stay proportional to the reduced row echelon
+    form, so the basis is the one over Q, read off as -row[fc]/row[pc]."""
+    mat = list(rows)  # rows are replaced, never changed in place
     pivots = []
     r = 0
     for c in range(width):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        p = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                mat[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -352,8 +354,8 @@ def _nullspace_vectors(rows, width):
     for fc in free:
         vec = [Fraction(0)] * width
         vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -mat[row_idx][fc]
+        for row, pc in zip(mat, pivots):
+            vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(vec)
     return basis
 
@@ -373,7 +375,7 @@ def guess_annihilator(terms, start_index: int, max_order: int, max_deg: int):
     need = (max_order + 1) * (max_deg + 2) + max_order + 10
     if len(terms) < need:
         raise InsufficientTerms(f"need at least {need} terms, got {len(terms)}")
-    terms = [Fraction(t) for t in terms]
+    terms = list(map(_exact, terms))
 
     def annihilates(op: ShiftOperator) -> bool:
         return all(op.apply(lambda k: terms[k - start_index], m) == 0
@@ -382,21 +384,20 @@ def guess_annihilator(terms, start_index: int, max_order: int, max_deg: int):
     for order in range(1, max_order + 1):
         usable = len(terms) - order
         train = usable - 10
+        # terms j..j+order over their lcm, without content: row j over Z
+        scaled = []
+        for j in range(train):
+            window = terms[j: j + order + 1]
+            den = lcm(*(t.denominator for t in window))
+            v = [t.numerator * (den // t.denominator) for t in window]
+            g = gcd(*v)
+            scaled.append([x // g for x in v] if g > 1 else v)
         for deg in range(0, max_deg + 1):
             width = (order + 1) * (deg + 1)
             if train < width:
                 continue
-            rows = []
-            for j in range(train):
-                m = start_index + j
-                row = []
-                for i in range(order + 1):
-                    val = terms[j + i]
-                    power = Fraction(1)
-                    for _ in range(deg + 1):
-                        row.append(power * val)
-                        power *= m
-                rows.append(row)
+            rows = [[x * m**d for x in v for d in range(deg + 1)]
+                    for m, v in enumerate(scaled, start_index)]
             for vec in _nullspace_vectors(rows, width):
                 coeffs = []
                 for i in range(order + 1):

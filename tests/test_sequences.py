@@ -1,8 +1,12 @@
+import random
 import threading
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoreduce import (
     HolonomicSequence,
@@ -24,6 +28,7 @@ from holoreduce.errors import (
 from holoreduce.sequences import (
     DOMB_16N_OPERATOR,
     HARMONIC_RATIO_OPERATOR,
+    _nullspace_vectors,
     central_trinomial_t,
 )
 from holoreduce.verify import _to_mpf
@@ -123,6 +128,21 @@ class TestEval:
         seq = HolonomicSequence(op, 0, [1, 1], overrides={5: Fraction(7)})
         assert seq.eval(5) == 7
         assert seq.eval(6) is not None
+
+    def test_initial_values_must_be_exact(self):
+        # Fraction("\u0661") is 1, so eval(0) used to read 1
+        with pytest.raises(TypeError, match="expected int or Fraction, got str"):
+            HolonomicSequence(None, 0, ["\u0661"], oracle=lambda n: n)
+        with pytest.raises(TypeError, match="expected int or Fraction, got float"):
+            HolonomicSequence(DOMB_16N_OPERATOR, 0, [1, 0.25])
+
+    def test_overrides_must_be_exact(self):
+        # eval(3) used to read 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="expected int or Fraction, got float"):
+            HolonomicSequence(None, 0, [1], oracle=lambda n: n, overrides={3: 0.1})
+        seq = HolonomicSequence(None, 0, [1], oracle=lambda n: n,
+                                overrides={3: Fraction(1, 10)})
+        assert (seq.eval(0), seq.eval(3)) == (1, Fraction(1, 10))
 
 
 def numeric_values(seq, upto, bits=96):
@@ -303,6 +323,159 @@ class TestGuessing:
 
         terms = [math.factorial(k) ** 2 for k in range(30)]
         assert guess_annihilator(terms, 0, 1, 0) is None
+
+
+    @pytest.mark.parametrize("bad", ["\u0661/\u0662", "10", 0.5])
+    def test_terms_must_be_exact(self, bad):
+        # Fraction() read the first as 1/2, so str Franel terms were guessed
+        terms = [franel_number(k) for k in range(40)]
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            guess_annihilator(terms[:20] + [bad] + terms[21:], 0, 2, 3)
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            guess_annihilator([str(t) for t in terms], 0, 2, 3)
+
+
+def _reference_nullspace(rows, width):
+    """Gauss-Jordan elimination over Fraction: the nullspace basis that
+    guess_annihilator used before it eliminated on integer rows."""
+    mat = [row[:] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][c]
+        mat[r] = [v / inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * width
+        vec[fc] = Fraction(1)
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -mat[row_idx][fc]
+        basis.append(vec)
+    return basis
+
+
+def _reference_guess(terms, start_index, max_order, max_deg):
+    """guess_annihilator on Fraction rows and the Fraction nullspace."""
+    terms = [Fraction(t) for t in terms]
+
+    def annihilates(op):
+        return all(op.apply(lambda k: terms[k - start_index], m) == 0
+                   for m in range(start_index, start_index + len(terms) - op.order))
+
+    for order in range(1, max_order + 1):
+        train = len(terms) - order - 10
+        for deg in range(0, max_deg + 1):
+            width = (order + 1) * (deg + 1)
+            if train < width:
+                continue
+            rows = []
+            for j in range(train):
+                m = start_index + j
+                row = []
+                for i in range(order + 1):
+                    val = terms[j + i]
+                    power = Fraction(1)
+                    for _ in range(deg + 1):
+                        row.append(power * val)
+                        power *= m
+                rows.append(row)
+            for vec in _reference_nullspace(rows, width):
+                coeffs = [Polynomial(vec[i * (deg + 1): (i + 1) * (deg + 1)])
+                          for i in range(order + 1)]
+                if all(c.is_zero() for c in coeffs):
+                    continue
+                candidate = ShiftOperator(coeffs).primitive()
+                if annihilates(candidate):
+                    return candidate
+    return None
+
+
+_small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Rational matrices with zero rows, zero columns, rows that combine
+    other rows, and often more columns than rows."""
+    width = draw(st.integers(1, 8))
+    mat = draw(st.lists(st.lists(_small_rationals, min_size=width, max_size=width),
+                        min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero_row", "zero_column", "combination"]))
+        if kind == "zero_row":
+            mat.insert(draw(st.integers(0, len(mat))), [Fraction(0)] * width)
+        elif kind == "zero_column":
+            c = draw(st.integers(0, width - 1))
+            mat = [row[:c] + [Fraction(0)] + row[c + 1:] for row in mat]
+        else:
+            ks = draw(st.lists(_small_rationals, min_size=len(mat), max_size=len(mat)))
+            mat.insert(draw(st.integers(0, len(mat))),
+                       [sum((k * row[c] for k, row in zip(ks, mat)), Fraction(0))
+                        for c in range(width)])
+    return mat, width
+
+
+def _recurrence_terms(coeffs, initial, count):
+    """F(0), ..., F(count - 1) of sum_i coeffs[i](n) F(n + i) = 0."""
+    values = list(initial)
+    while len(values) < count:
+        n = len(values) - len(initial)
+        acc = sum(c.evaluate(n) * values[n + i] for i, c in enumerate(coeffs[:-1]))
+        values.append(-acc / coeffs[-1].evaluate(n))
+    return values
+
+
+class TestGuessDifferential:
+    """The integer-row elimination against the Fraction one it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rational_matrices())
+    def test_nullspace_matches_fraction_elimination(self, drawn):
+        mat, width = drawn
+        # scaling a row by a nonzero integer keeps the nullspace
+        rows = [[int(v * lcm(*(x.denominator for x in row))) for v in row]
+                for row in mat]
+        assert _nullspace_vectors(rows, width) == _reference_nullspace(mat, width)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2), st.integers(0, 3), st.data())
+    def test_guess_matches_reference_on_recurrence_terms(self, order, start, data):
+        poly = st.lists(_small_rationals, min_size=1, max_size=3).map(Polynomial)
+        coeffs = data.draw(st.lists(poly, min_size=order + 1, max_size=order + 1))
+        count = 26
+        if any(coeffs[-1].evaluate(n) == 0 for n in range(count)):
+            coeffs[-1] = Polynomial([1])
+        initial = data.draw(st.lists(_small_rationals, min_size=order, max_size=order))
+        terms = _recurrence_terms(coeffs, initial, count)
+        # from index start, the same terms have a shifted annihilator
+        want = _reference_guess(terms, start, 2, 2)
+        assert guess_annihilator(terms, start, 2, 2) == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3))
+    def test_random_terms_have_no_annihilator(self, seed, start):
+        rng = random.Random(seed)
+        terms = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                 for _ in range(26)]
+        assert guess_annihilator(terms, start, 2, 2) is None
+        assert _reference_guess(terms, start, 2, 2) is None
 
 
 class TestTermFiles(object):
