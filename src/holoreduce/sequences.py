@@ -36,7 +36,8 @@ class HolonomicSequence:
     for all callers (guarded by a lock, so concurrent eval is
     linearizable).  :meth:`series_terms` gives the summands
     numer(n)/denom(n) * F(n) of every series the package sums.
-    Sequences may also be oracle-only (``operator=None``).
+    Sequences may also be oracle-only (``operator=None``).  Initial values
+    and overrides are ints or Fractions (TypeError otherwise).
     """
 
     def __init__(self, operator, start_index, initial_values, name="",
@@ -361,7 +362,8 @@ def _nullspace_vectors(rows, width):
 
 
 def guess_annihilator(terms, start_index: int, max_order: int, max_deg: int):
-    """Guess a recurrence operator annihilating the supplied terms.
+    """Guess a recurrence operator annihilating the supplied terms, which
+    are ints or Fractions (TypeError otherwise).
 
     Solves the exact linear system sum_{i,d} c_{i,d} n^d F(n+i) = 0 for
     ascending (order, degree) pairs, holding out the last 10 usable
@@ -384,7 +386,7 @@ def guess_annihilator(terms, start_index: int, max_order: int, max_deg: int):
     for order in range(1, max_order + 1):
         usable = len(terms) - order
         train = usable - 10
-        # terms j..j+order over their lcm, without content: row j over Z
+        # F(j..j+order) times the lcm of their denominators, over its content
         scaled = []
         for j in range(train):
             window = terms[j: j + order + 1]

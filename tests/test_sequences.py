@@ -276,6 +276,9 @@ class TestCatalog:
             get_sequence("nope")
 
 
+_FRANEL_40 = [franel_number(k) for k in range(40)]
+
+
 class TestGuessing:
     def test_constant_sequence(self):
         op = guess_annihilator([1] * 30, 0, 2, 2)
@@ -324,15 +327,16 @@ class TestGuessing:
         terms = [math.factorial(k) ** 2 for k in range(30)]
         assert guess_annihilator(terms, 0, 1, 0) is None
 
-
-    @pytest.mark.parametrize("bad", ["\u0661/\u0662", "10", 0.5])
-    def test_terms_must_be_exact(self, bad):
-        # Fraction() read the first as 1/2, so str Franel terms were guessed
-        terms = [franel_number(k) for k in range(40)]
+    @pytest.mark.parametrize("terms", [
+        _FRANEL_40[:20] + ["\u0661/\u0662"] + _FRANEL_40[21:],
+        _FRANEL_40[:20] + [0.5] + _FRANEL_40[21:],
+        [str(t) for t in _FRANEL_40],
+    ])
+    def test_terms_must_be_exact(self, terms):
+        # Fraction() read "\u0661/\u0662" as 1/2, and Franel terms given as
+        # str returned the Franel operator
         with pytest.raises(TypeError, match="expected int or Fraction"):
-            guess_annihilator(terms[:20] + [bad] + terms[21:], 0, 2, 3)
-        with pytest.raises(TypeError, match="expected int or Fraction"):
-            guess_annihilator([str(t) for t in terms], 0, 2, 3)
+            guess_annihilator(terms, 0, 2, 3)
 
 
 def _reference_nullspace(rows, width):
