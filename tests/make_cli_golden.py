@@ -43,6 +43,8 @@ ORDER3_CL1 = "3 - 2*S - (3*n+1)*S^2 + (3*n+3)*S^3"
 FRACTIONAL = "(n+1)/3 - (2*n+5)/7*S"
 # fraction coefficients through powers of quotients and division by a quotient
 FRACTION_POWERS = "((n+1)/2)^3 - (2*n+3)/(4/3)*S + (3/5*(n+2))^2*S^2"
+# f(s) = s + 5000000: a root bound above 10^7
+LARGE_ROOT = "(n+1)*(n+5000000) - (n+2)*(n+1)*S"
 
 IDENTITY_FIXTURES = (
     "domb_neg32_base",
@@ -236,6 +238,8 @@ def cases() -> list:
             ("guess", "--terms", "@golden/mixed_terms.txt", "--start", "0",
              "--max-order", "1", "--max-deg", "1", *f),
         ]
+    for fmt in FORMATS:
+        out.append(("classify", "--operator", LARGE_ROOT, "--format", fmt))
     return [list(argv) for argv in out]
 
 
