@@ -14,9 +14,7 @@ from .polynomials import (
     RationalFunction,
     falling_factorial,
     integer_roots,
-    interpolate,
     poly_gcd,
-    resultant,
 )
 from .operators import (
     DegreeProfile,

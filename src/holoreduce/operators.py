@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import (
     InternalInconsistency,
@@ -24,8 +24,6 @@ from .polynomials import (
     falling_factorial,
     integer_roots,
     integer_rows,
-    interpolate,
-    resultant,
 )
 
 
@@ -249,23 +247,41 @@ def degree_law_check(op: ShiftOperator, x: Polynomial) -> str:
 def gcd_condition(a0: Polynomial, a_j: Polynomial, offset: int = 0) -> bool:
     """True iff gcd(a0(n), a_j(n+h)) = 1 for every integer h >= offset.
 
-    Decided exactly: the resultant of a0(n) and a_j(n+h) is a nonzero
-    polynomial in h whose integer roots are the colliding shifts.
+    Decided exactly: the colliding shifts are the integer roots of
+    R(h) = prod (h - (beta - alpha)) over the roots alpha of a0 and beta of
+    a_j, built from power sums (Bostan, Flajolet, Salvy and Schost, "Fast
+    computation of special resultants", JSC 2006).
     """
     if not isinstance(a0, Polynomial) or not isinstance(a_j, Polynomial):
         raise TypeError("gcd_condition expects polynomials")
     if a0.is_zero() or a_j.is_zero():
         raise ZeroInput("gcd condition requires nonzero polynomials")
-    m, k = int(a0.degree), int(a_j.degree)
-    if m == 0 or k == 0:
+    _, (row0, row_j) = integer_rows([a0, a_j])
+    # On the roots times L = lcm of the leads, every sum below is an integer.
+    scale, top = lcm(row0[-1], row_j[-1]), (len(row0) - 1) * (len(row_j) - 1)
+    if not top:
         return True
-    points = []
-    for h in range(m * k + 1):
-        points.append((h, resultant(a0, a_j.shift(h))))
-    res_in_h = interpolate(points)
-    if res_in_h.is_zero():
-        raise InternalInconsistency("resultant vanished identically")
+    alpha, beta = (_power_sums(row, scale, top + 1) for row in (row0, row_j))
+    # sigma[t]: the sum over all pairs of (L (beta - alpha))^t
+    sigma = [sum(comb(t, u) * beta[u] * (-1) ** (t - u) * alpha[t - u]
+                 for u in range(t + 1)) for t in range(top + 1)]
+    e = [1]  # e[t]: coefficient of h^(mk - t) in prod (h - L (beta - alpha))
+    for t in range(1, top + 1):
+        e.append(-sum(e[i] * sigma[t - i] for i in range(t)) // t)
+    res_in_h = Polynomial([e[top - j] * scale**j for j in range(top + 1)])  # L^mk R(h)
     return not any(r >= offset for r in integer_roots(res_in_h))
+
+
+def _power_sums(row: list, scale: int, count: int) -> list:
+    """Power sums P_0 .. P_{count-1} of ``scale`` times the roots of the
+    integer row, whose lead divides ``scale``, by Newton's identities on
+    e[i], the coefficient of n^(d - i) in the monic polynomial of those."""
+    d = len(row) - 1
+    e = [row[d - i] * scale**i // row[-1] for i in range(d + 1)] + [0] * count
+    sums = [d]
+    for t in range(1, count):
+        sums.append(-t * e[t] - sum(e[i] * sums[t - i] for i in range(1, t)))
+    return sums
 
 
 @dataclass(frozen=True)

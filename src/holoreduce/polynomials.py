@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from itertools import count
+from math import gcd, isqrt, lcm, prod
 
 from .errors import BothZero, DivisionNotExact, ZeroPolynomial
 
@@ -337,7 +338,7 @@ def _root_bound(ints) -> int:
     """Integer bound B with every real root of the poly inside [-B, B].
 
     Fujiwara-style bound computed from bit lengths only, so it stays sane
-    for polynomials with huge coefficients (resultants in particular).
+    for polynomials with huge coefficients.
     """
     d = len(ints) - 1
     lead = abs(ints[-1])
@@ -354,100 +355,32 @@ def _root_bound(ints) -> int:
 
 
 def integer_roots(p: Polynomial) -> set:
-    """Exact set of integer roots of a nonzero polynomial.
-
-    Candidates are divisors of the integer-cleared constant term (after
-    stripping n^k factors), each confirmed by exact evaluation.
-    """
+    """Exact set of integer roots of a nonzero polynomial: the roots of its
+    squarefree part modulo the least prime q at which all are simple, lifted
+    by Newton's step modulo q^2, q^4, ... past twice the root bound and
+    confirmed exactly (Loos, "Computing rational zeros of integral
+    polynomials by p-adic expansion", SIAM J. Comput. 1983)."""
     if not p:
         raise ZeroPolynomial("integer_roots of the zero polynomial")
-    roots = set()
-    ints = p._num
-    # Strip n^k: zero is a root iff the constant term vanishes.
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    if k > 0:
-        roots.add(0)
-        ints = ints[k:]
-    if len(ints) == 1:
-        return roots
-    const = abs(ints[0])
-    bound = _root_bound(ints)
-    if bound > 10**7:
-        raise ValueError("integer root bound too large for divisor scan")
-    for d in range(1, bound + 1):
-        if const % d:
-            continue
-        for r in (d, -d):
-            if r not in roots and _horner(ints, r) == 0:
-                roots.add(r)
+    slope = _poly(tuple(i * c for i, c in enumerate(p._num))[1:])
+    row = p.exact_div(poly_gcd(p, slope)).rational_content()[1]._num
+    slope = [i * c for i, c in enumerate(row)][1:]
+    for q in count(2):
+        if row[-1] % q and all(q % f for f in range(2, isqrt(q) + 1)):
+            low = [c % q for c in row]
+            residues = [r for r in range(q) if not _horner(low, r) % q]
+            if all(_horner(slope, r) % q for r in residues):
+                break
+    bound, roots = 2 * _root_bound(row), set()
+    for r in residues:
+        m = q
+        while m <= bound:
+            m *= m
+            r = (r - _horner(row, r) * pow(_horner(slope, r), -1, m)) % m
+        r = r - m if 2 * r > m else r
+        if not _horner(row, r):
+            roots.add(r)
     return roots
-
-
-def interpolate(points) -> Polynomial:
-    """Exact polynomial through ``(x, y)`` pairs with distinct x (Newton form)."""
-    xs = [Fraction(_exact(x)) for x, _ in points]
-    coeffs = [Fraction(_exact(y)) for _, y in points]
-    for j in range(1, len(points)):
-        for i in range(len(points) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    result = Polynomial()
-    for i in range(len(points) - 1, -1, -1):
-        result = result * Polynomial((-xs[i], Fraction(1))) + coeffs[i]
-    return result
-
-
-def _int_det(m) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    m = [row[:] for row in m]
-    size = len(m)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def resultant(p: Polynomial, q: Polynomial) -> Fraction:
-    """Resultant of two nonzero polynomials, exact over Q."""
-    if not p or not q:
-        raise ZeroPolynomial("resultant requires nonzero polynomials")
-    m = p.degree
-    n = q.degree
-    if m == 0:
-        return p.leading_coefficient ** n
-    if n == 0:
-        return q.leading_coefficient ** m
-    cp, ip = p.rational_content()
-    cq, iq = q.rational_content()
-    a, b = ip._num, iq._num
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        rows.append(row)
-    det = _int_det(rows)
-    return det * cp**n * cq**m
 
 
 class RationalFunction:

@@ -9,6 +9,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import index as _index
 
 from .errors import (
     IndexBelowStart,
@@ -36,8 +37,9 @@ class HolonomicSequence:
     for all callers (guarded by a lock, so concurrent eval is
     linearizable).  :meth:`series_terms` gives the summands
     numer(n)/denom(n) * F(n) of every series the package sums.
-    Sequences may also be oracle-only (``operator=None``).  Initial values
-    and overrides are ints or Fractions (TypeError otherwise).
+    Sequences may also be oracle-only (``operator=None``).  Initial values,
+    overrides and oracle values are ints or Fractions and the start index
+    is an int (TypeError otherwise).
     """
 
     def __init__(self, operator, start_index, initial_values, name="",
@@ -45,7 +47,7 @@ class HolonomicSequence:
         if operator is None and oracle is None:
             raise ValueError("sequence needs an operator or an oracle")
         self.operator = operator
-        self.start_index = int(start_index)
+        self.start_index = _index(start_index)
         self.name = name
         self.oracle = oracle
         self.overrides = {k: Fraction(_exact(v)) for k, v in (overrides or {}).items()}
@@ -132,7 +134,7 @@ class HolonomicSequence:
                     raise SingularLeadingCoefficient(
                         f"a_J({m}) = 0 and no override value for index {t}"
                     )
-            values.append(convert(Fraction(self.oracle(t))))
+            values.append(convert(Fraction(_exact(self.oracle(t)))))
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,24 @@ class TestDegreeLaw:
             assert tag == expected
 
 
+_roots = st.lists(st.integers(-9, 9), max_size=1)
+
+
+def _rows(size):
+    return st.lists(st.integers(-9, 9), min_size=size, max_size=size + 1).filter(
+        lambda row: row[-1])
+
+
+def _planted(roots, row):
+    """The polynomial prod(n - r) * row(n) and a bound on its roots' sizes:
+    the largest |r| or the Cauchy bound of the row."""
+    p = Polynomial(row)
+    bound = 1 + max(abs(x) for x in p.coeffs) / abs(p.leading_coefficient)
+    for r in roots:
+        p = p * (N - r)
+    return p, max([bound, *map(abs, roots)])
+
+
 class TestGcdCondition:
     def test_harmonic_pair_coprime_for_all_shifts(self):
         assert gcd_condition(N * (N + 1) ** 2, (N + 2) ** 2 * (N + 3), 0)
@@ -244,6 +262,22 @@ class TestGcdCondition:
                 poly_gcd(a, b.shift(h)) == 1 for h in range(0, 51)
             ) if (a.degree > 0 and b.degree > 0) else True
             assert gcd_condition(a, b, 0) == brute
+
+    @given(c=st.tuples(_roots, _rows(2)), u=st.tuples(_roots, _rows(1)),
+           v=st.tuples(_roots, _rows(1)), h0=st.integers(0, 10**6),
+           below=st.integers(0, 10**7), past=st.integers(1, 21))
+    @settings(max_examples=100, deadline=None)
+    def test_planted_common_factor(self, c, u, v, h0, below, past):
+        # a0 = c(n) u(n) and a_J = c(n - h0) v(n) collide at the shift h0
+        (c, bc), (u, bu), (v, bv) = (_planted(*x) for x in (c, u, v))
+        a0, a_j = c * u, c.shift(-h0) * v
+        assert not gcd_condition(a0, a_j, h0)
+        assert not gcd_condition(a0, a_j, h0 - below)
+        # a collision pairs a root of c(n - h0) or of v with one of a0, so
+        # it lies at most h0 + 2B, B bounding every root of c, u and v
+        offset, top = h0 + past, h0 + int(2 * max(bc, bu, bv))
+        scan = all(poly_gcd(a0, a_j.shift(h)) == 1 for h in range(offset, top + 1))
+        assert gcd_condition(a0, a_j, offset) == scan
 
 
 class TestSummableBounds:

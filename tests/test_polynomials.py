@@ -12,9 +12,7 @@ from holoreduce import (
     RationalFunction,
     falling_factorial,
     integer_roots,
-    interpolate,
     poly_gcd,
-    resultant,
 )
 from holoreduce.errors import BothZero, DivisionNotExact, ZeroPolynomial
 from holoreduce.polynomials import _horner, _root_bound, _taylor_shift, integer_rows
@@ -181,6 +179,23 @@ class TestIntegerRoots:
         p = (N - 2) * (N + 5) / 7
         assert integer_roots(p) == {2, -5}
 
+    def test_root_beyond_the_old_scan_cap(self):
+        # f(s) of (n+1)*(n+5000000) - (n+2)*(n+1)*S: a root bound above 10^7
+        assert integer_roots(N + 5_000_000) == {-5_000_000}
+
+    @given(planted=st.dictionaries(st.integers(-2**80, 2**80), st.integers(1, 3),
+                                   max_size=4),
+           scalar=st.fractions().filter(bool),
+           c=st.one_of(st.integers(1, 10**6), st.fractions(min_value=0).filter(bool)),
+           e=st.integers(0, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_planted_roots(self, planted, scalar, c, e):
+        # n^2 + c with c > 0 has no real root, so only the planted ones remain
+        p = scalar * (N**2 + c) ** e
+        for r, k in planted.items():
+            p = p * (N - r) ** k
+        assert integer_roots(p) == set(planted)
+
 
 class TestFallingFactorial:
     def test_low_orders(self):
@@ -222,27 +237,6 @@ class TestRationalFunction:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(N, Polynomial())
-
-
-class TestResultantInterpolate:
-    def test_resultant_via_root_products(self):
-        f = (N - 1) * (N - 2)
-        g = N - 3
-        # res(f, g) = lc(f)^deg g * prod g(alpha) over roots alpha of f
-        assert resultant(f, g) == g.evaluate(1) * g.evaluate(2)
-
-    def test_resultant_detects_common_root(self):
-        assert resultant((N - 1) * (N + 4), (N - 1) * (N - 9)) == 0
-
-    def test_resultant_scaling(self):
-        f, g = N**2 + 1, N - 5
-        assert resultant(3 * f, g) == 3 ** g.degree * resultant(f, g)
-
-    def test_interpolate_roundtrip(self, rng):
-        for _ in range(40):
-            p = rand_polynomial(rng, 6)
-            pts = [(x, p.evaluate(x)) for x in range(7)]
-            assert interpolate(pts) == p
 
 
 # -- the Fraction kernel as an oracle ------------------------------------------
