@@ -145,10 +145,10 @@ class TestEval:
         assert (seq.eval(0), seq.eval(3)) == (1, Fraction(1, 10))
 
     def test_oracle_values_must_be_exact(self):
-        # eval(1) used to read 3602879701896397/36028797018963968
-        seq = HolonomicSequence(None, 0, [1], oracle=lambda n: 0.1)
+        # eval(0) used to read 3602879701896397/36028797018963968
+        seq = HolonomicSequence(None, 0, [], oracle=lambda n: 0.1)
         with pytest.raises(TypeError, match="expected int or Fraction, got float"):
-            seq.eval(1)
+            seq.eval(0)
 
     @pytest.mark.parametrize("start", ["\u0663", 2.7])
     def test_start_index_must_be_an_int(self, start):
