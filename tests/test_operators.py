@@ -274,7 +274,7 @@ class TestGcdCondition:
         assert not gcd_condition(a0, a_j, h0)
         assert not gcd_condition(a0, a_j, h0 - below)
         # a collision pairs a root of c(n - h0) or of v with one of a0, so
-        # it lies at most h0 + 2B, B bounding every root of c, u and v
+        # it is at most h0 + 2B, B bounding every root of c, u and v
         offset, top = h0 + past, h0 + int(2 * max(bc, bu, bv))
         scan = all(poly_gcd(a0, a_j.shift(h)) == 1 for h in range(offset, top + 1))
         assert gcd_condition(a0, a_j, offset) == scan
