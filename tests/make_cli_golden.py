@@ -240,6 +240,15 @@ def cases() -> list:
         ]
     for fmt in FORMATS:
         out.append(("classify", "--operator", LARGE_ROOT, "--format", fmt))
+    for fmt in FORMATS:
+        f = ("--format", fmt)
+        out += [
+            # exact values far past the initial values, and an oracle only
+            ("eval", "--sequence", "harmonic_m3", "--n", "400", *f),
+            ("eval", "--sequence", "central_binomial_example27", "--n", "400", *f),
+            ("eval", "--sequence", "domb_over_neg32n", "--n", "400", *f),
+            ("eval", "--sequence", "t_poly", "--n", "300", *f),
+        ]
     return [list(argv) for argv in out]
 
 
