@@ -156,6 +156,108 @@ class TestEval:
         with pytest.raises(TypeError):
             HolonomicSequence(None, start, [1], oracle=lambda n: n)
 
+    def test_oracle_only_eval_calls_the_oracle_once(self):
+        # eval(400) used to call the oracle at every index 0..400
+        calls = []
+
+        def oracle(n):
+            calls.append(n)
+            return central_trinomial_t(n, 62, 1)
+
+        seq = HolonomicSequence(None, 0, [], oracle=oracle, overrides={7: 3})
+        assert seq.eval(400) == central_trinomial_t(400, 62, 1)
+        assert calls == [400]
+        assert seq.eval(7) == 3 and calls == [400]
+        # window reads still fill the cache
+        assert seq.values(0, 2) == [1, 62, 3846] and calls == [400, 0, 1, 2]
+
+
+def _outcome(call):
+    """What call() returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_small_ints = st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(Polynomial)
+
+
+@st.composite
+def _walk_cases(draw):
+    """A sequence factory and a list of reads: an integer operator of
+    order 1-3 whose leading coefficient may vanish inside the range read,
+    rational initial values, overrides, an oracle or none."""
+    order = draw(st.integers(1, 3))
+    start = draw(st.integers(-3, 3))
+    top = start + 40
+    coeffs = draw(st.lists(_small_ints, min_size=order, max_size=order))
+    lead = draw(_small_ints.filter(lambda p: not p.is_zero()))
+    for root in draw(st.lists(st.integers(start - order, top), max_size=2)):
+        lead = lead * (N - root)
+    op = ShiftOperator([*coeffs, lead])
+    initial = draw(st.lists(_small_rationals, min_size=order, max_size=order + 2))
+    overrides = draw(st.dictionaries(st.integers(start, top), _small_rationals,
+                                     max_size=3))
+    a, b = draw(st.integers(-5, 5)), draw(st.integers(1, 4))
+    oracle = draw(st.sampled_from([None, lambda t: a * t + 1,
+                                   lambda t: Fraction(a * t * t - 1, b)]))
+    index = st.integers(start - 2, top)
+    reads = draw(st.lists(st.one_of(st.tuples(st.just("eval"), index),
+                                    st.tuples(st.just("values"), index, index)),
+                          min_size=1, max_size=8))
+
+    def make():
+        return HolonomicSequence(op, start, initial, oracle=oracle,
+                                 overrides=overrides)
+
+    return make, reads
+
+
+class TestIntegerWalk:
+    """eval past the cache against window reads on a fresh sequence."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_walk_cases())
+    def test_walk_matches_window_reads(self, case):
+        make, reads = case
+        seq = make()
+        for kind, *args in reads:
+            if kind == "eval":
+                (n,) = args
+                got = _outcome(lambda: seq.eval(n))
+                want = _outcome(lambda: make().values(n, n)[0])
+            else:
+                # a window read moves the end of the cache
+                got = _outcome(lambda: seq.values(*args))
+                want = _outcome(lambda: make().values(*args))
+            assert got == want
+
+    def test_far_eval_walks_past_the_cache(self):
+        seq = HolonomicSequence(DOMB_16N_OPERATOR, 0, [1, Fraction(1, 4)])
+        assert seq.eval(300) == Fraction(domb_number(300), 16**300)
+        assert len(seq._cache) == 2
+        # below the checkpoint, then past it, then the next index
+        assert seq.eval(150) == Fraction(domb_number(150), 16**150)
+        assert seq.eval(310) == Fraction(domb_number(310), 16**310)
+        assert len(seq._cache) == 2
+        assert seq.eval(2) == Fraction(domb_number(2), 16**2)
+        assert len(seq._cache) == 3
+
+    def test_order_zero_operator(self):
+        # (n - 2) F(n) = 0: F vanishes except at n = 2, where the oracle says 5
+        op = ShiftOperator([N - 2])
+        seq = HolonomicSequence(op, 0, [], oracle=lambda n: 5)
+        assert seq.eval(6) == 0
+        assert seq.eval(2) == 5
+        assert seq.eval(9) == 0
+        want = HolonomicSequence(op, 0, [], oracle=lambda n: 5).values(0, 9)
+        assert [seq.eval(n) for n in range(10)] == want == [0, 0, 5] + [0] * 7
+        bare = HolonomicSequence(op, 0, [])
+        with pytest.raises(SingularLeadingCoefficient,
+                           match=r"a_J\(2\) = 0 and no override value for index 2"):
+            bare.eval(6)
+
 
 def numeric_values(seq, upto, bits=96):
     """F(start), ..., F(upto) from the stepper on mpf values."""
