@@ -34,11 +34,11 @@ class HolonomicSequence:
     numeric verification, so both channels see the same sequence: an
     override wins at its index, and where the leading coefficient
     vanishes the value comes from ``oracle``.  Exact windows are cached
-    contiguously from ``start_index`` for all callers.  :meth:`eval`
-    past the end of that cache (and past the index just after it) walks
-    the recurrence on integers instead and keeps one checkpoint, the
-    integer state at the last index it walked to; both are guarded by a
-    lock, so concurrent eval is linearizable.  :meth:`series_terms`
+    contiguously from ``start_index`` for all callers, under a lock, so
+    concurrent eval is linearizable; that cache is all that is kept.
+    :meth:`eval` past the end of the cache (and past the index just
+    after it) walks the recurrence on integers from the cache's end and
+    keeps nothing of the walk.  :meth:`series_terms`
     gives the summands numer(n)/denom(n) * F(n) of every series the
     package sums.  Sequences may also be oracle-only (``operator=None``):
     their eval past the cache asks the oracle at that index alone.
@@ -63,29 +63,38 @@ class HolonomicSequence:
         # Scaling L by a constant keeps its recurrence, so step with integers.
         self._rows = None if operator is None else integer_rows(operator.coeffs)[1]
         self._cache = list(self._initial)
-        self._point = None  # (n, w, D) of the last walk: w/D = F(n-J..n)
         self._lock = threading.Lock()
 
     def eval(self, n: int) -> Fraction:
         """F(n).  The cache, and the index just after it, are read through
-        :meth:`values`; a later index is reached by :meth:`_walk`, or given
-        by the oracle alone on a sequence without an operator."""
+        :meth:`values`; a later index is reached by :meth:`_walk`, or is
+        given at n alone (:meth:`_given`) on a sequence without an operator."""
         with self._lock:
             if n > self.start_index + len(self._cache):
                 if self._rows is not None:
                     return self._walk(n)
-                if n in self.overrides:
-                    return self.overrides[n]
-                return Fraction(_exact(self.oracle(n)))
+                return self._given(n)
         return self.values(n, n)[0]
+
+    def _given(self, t: int) -> Fraction:
+        """F(t) as given rather than stepped: the override at t wins, else
+        the oracle's value.  Asked only where there is no recurrence step,
+        so without an oracle the leading coefficient has vanished."""
+        if t in self.overrides:
+            return self.overrides[t]
+        if self.oracle is None:
+            m = t - len(self._rows) + 1  # recurrence base point
+            raise SingularLeadingCoefficient(
+                f"a_J({m}) = 0 and no override value for index {t}"
+            )
+        return Fraction(_exact(self.oracle(t)))
 
     def _walk(self, n: int) -> Fraction:
         """F(n) past the cache on integers: F(t-J..t) are kept as numerators
         w over one denominator D.  A recurrence step appends -sum c_i w_i and
         multiplies the kept numerators and D by a_J; a given value p/q
         appends p*D and multiplies them by q.  So an index costs products
-        and no gcd; at n one gcd reduces the state, which is kept as the
-        checkpoint a later walk to n or beyond starts from."""
+        and no gcd; the one gcd is taken at n, by ``Fraction(w[-1], D)``."""
         rows, overrides = self._rows, self.overrides
         J = len(rows) - 1
         # F(t-J..t) at the end of the cache; 0 stands in before the start
@@ -93,13 +102,9 @@ class HolonomicSequence:
         t = self.start_index + len(self._cache) - 1
         D = lcm(*(v.denominator for v in tail))
         w = [v.numerator * (D // v.denominator) for v in tail]
-        if self._point is not None and t <= self._point[0] <= n:
-            t, w, D = self._point
         for t in range(t + 1, n + 1):
             kept = w[1:]
-            if t in overrides:
-                v = overrides[t]
-            else:
+            if t not in overrides:
                 m = t - J  # recurrence base point
                 *cs, lead = [_horner(row, m) for row in rows]
                 if lead:
@@ -107,18 +112,11 @@ class HolonomicSequence:
                     w.append(-sum(c * x for c, x in zip(cs, kept) if c))
                     D *= lead
                     continue
-                if self.oracle is None:
-                    raise SingularLeadingCoefficient(
-                        f"a_J({m}) = 0 and no override value for index {t}"
-                    )
-                v = _exact(self.oracle(t))
+            v = self._given(t)
             q = v.denominator
             w = [x * q for x in kept] if q != 1 else kept
             w.append(v.numerator * D)
             D *= q
-        g = gcd(D, *w)
-        w, D = [x // g for x in w], D // g
-        self._point = (n, w, D)
         return Fraction(w[-1], D)
 
     def values(self, a: int, b: int) -> list:
@@ -173,10 +171,7 @@ class HolonomicSequence:
         zero = convert(Fraction(0))
         while len(values) < count:
             t = start + len(values)  # index being produced
-            if t in self.overrides:
-                values.append(convert(self.overrides[t]))
-                continue
-            if rows is not None:
+            if rows is not None and t not in self.overrides:
                 m = t - len(rows) + 1  # recurrence base point
                 cs = [_horner(row, m) for row in rows]
                 lead = cs.pop()
@@ -187,11 +182,7 @@ class HolonomicSequence:
                             acc += c * values[m + i - start]
                     values.append(-acc / lead)
                     continue
-                if self.oracle is None:
-                    raise SingularLeadingCoefficient(
-                        f"a_J({m}) = 0 and no override value for index {t}"
-                    )
-            values.append(convert(Fraction(_exact(self.oracle(t)))))
+            values.append(convert(self._given(t)))
 
 
 @dataclass(frozen=True)
