@@ -249,6 +249,13 @@ def cases() -> list:
             ("eval", "--sequence", "domb_over_neg32n", "--n", "400", *f),
             ("eval", "--sequence", "t_poly", "--n", "300", *f),
         ]
+    for fmt in ("text", "structured"):
+        # exact windows of one index, two indices and 501 indices
+        for name in (*IDENTITY_FIXTURES[1:], "domb_16n_rational_cong"):
+            for window in ("0", "1", "500"):
+                out.append(("verify", "--fixture", f"@fixtures/{name}.fixture",
+                            "--mode", "exact", "--window", window,
+                            "--format", fmt))
     return [list(argv) for argv in out]
 
 
