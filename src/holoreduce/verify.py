@@ -2,7 +2,7 @@
 
 Three verification channels:
 
-* exact telescoping over windows of indices, all in rational arithmetic;
+* exact telescoping over windows of indices, compared as integers;
 * high-precision floating-point partial sums against pi-linear targets;
 * exact residue sums modulo p^2 for the congruence fixtures.
 """
@@ -13,7 +13,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 from .errors import (
     DomainViolation,
@@ -34,7 +34,6 @@ from .polynomials import (
 from .reduction import RationalReductionResult, rational_reduce
 from .sequences import get_sequence
 
-_ONE = Polynomial.constant(1)
 PRECISION_ENV = "HOLOREDUCE_PRECISION_BITS"
 DEFAULT_PRECISION_BITS = 96
 
@@ -158,25 +157,29 @@ def _resolve(seq):
     return get_sequence(seq) if isinstance(seq, str) else seq
 
 
+def _scaled(values) -> list:
+    """Integers w[i] = D * values[i], for D the lcm of the denominators."""
+    D = lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values]
+
+
 def check_telescoping(seq, op: ShiftOperator, x: Polynomial, window) -> bool:
     """Exact check of the boundary form of the adjoint product over
     [a, b]:  sum_{n=a}^{b-1} L*(x)(n) F(n) = U(a) - U(b)  with
-    U(m) = sum_i u_i(m) F(m+i)."""
+    U(m) = sum_i u_i(m) F(m+i): one equality of totals, not one per index,
+    so errors in F that cancel in the total pass.  F(a..b+J-1) is read once
+    as w / D, and both sides are compared as integers, times D and one
+    integer that clears the denominators of L*(x) and the u_i."""
     seq = _resolve(seq)
     a, b = window
     if b < a or a < seq.start_index:
         raise DomainViolation(f"window [{a}, {b}] outside domain of {seq.name}")
     us = op.certificate(x)
-    lhs = sum(seq.series_terms(op.adjoint_apply(x), _ONE, a, b - 1), Fraction(0))
-    values = seq.values(a, b + len(us) - 1)
-    return lhs == _boundary(us, values, a, a) - _boundary(us, values, a, b)
-
-
-def _boundary(us, values, a: int, m: int) -> Fraction:
-    """The certificate's boundary term sum_i u_i(m) * values[m - a + i],
-    for ``values`` that start at index ``a``."""
-    return sum((u.evaluate(m) * values[m - a + i] for i, u in enumerate(us)),
-               Fraction(0))
+    _, (image, *rows) = integer_rows([op.adjoint_apply(x), *us])
+    w = _scaled(seq.values(a, b + len(us) - 1))
+    ua, ub = (sum(_horner(row, m) * w[m - a + i] for i, row in enumerate(rows))
+              for m in (a, b))
+    return sum(_horner(image, n) * w[n - a] for n in range(a, b)) == ua - ub
 
 
 def first_valid_index(fix, rr: RationalReductionResult) -> int:
@@ -191,7 +194,11 @@ def verify_identity_exact(fix, source, rr: RationalReductionResult,
     """Exact windowed check that the source summand minus the reduced
     summand telescopes through the certificate, and that the fixture's
     published numerator matches the reduction remainder up to its
-    recorded scalar.  The window must not be negative."""
+    recorded scalar.  The window must not be negative.  The partial sums
+    agree at every index b exactly when every increment does, so each b
+    is checked on its own: (numer/denom - R/SP)(b) F(b) = T(b) - T(b+1)
+    for T(m) = sum_i u_i(m) F(m+i) / SP(m+i), on integers, with F read
+    once as w / D and both sides times D denom(b) prod_{k<=J} SP(b+k)."""
     if window_length < 0:
         raise ValueError(f"window length must be >= 0, got {window_length}")
     if fix.sequence_key != source.sequence_key:
@@ -207,17 +214,30 @@ def verify_identity_exact(fix, source, rr: RationalReductionResult,
         return False
 
     us = rr.reduction.certificate
+    J = len(us)
     a = max(first_valid_index(fix, rr), source.start_index, seq.start_index)
     last = a + window_length
-    g = list(seq.series_terms(_ONE, sp, a, last + len(us)))  # F / SP
-    terms = zip(range(a, last + 1),
-                seq.series_terms(source.numer, source.denom, a, last),
-                seq.series_terms(rr.remainder_numer, sp, a, last))
-    diff_sum = Fraction(0)
-    t_a = _boundary(us, g, a, a)
-    for b, src, rem in terms:
-        diff_sum += src - rem
-        if diff_sum != t_a - _boundary(us, g, a, b + 1):
+    # one integer clears R, SP and the u_i, another numer and denom
+    _, (rem, sp_row, *u_rows) = integer_rows([rr.remainder_numer, sp, *us])
+    _, (num, den) = integer_rows([source.numer, source.denom])
+    s = [_horner(sp_row, m) for m in range(a, last + J + 1)]
+    if 0 in s:  # only for SP = 0: a lies past every root of a nonzero SP
+        raise ZeroDivisionError(f"denominator vanishes at n = {a + s.index(0)}")
+    w = _scaled(seq.values(a, last + J))  # F = w / D
+
+    def t(j):  # T(a+j) times D prod_{k<J} SP(a+j+k)
+        return sum(_horner(row, a + j) * w[j + i] * prod(s[j:j + i] + s[j + i + 1:j + J])
+                   for i, row in enumerate(u_rows))
+
+    t_next = t(0)
+    for j, b in enumerate(range(a, last + 1)):
+        d = _horner(den, b)
+        if not d:
+            raise ZeroDivisionError(f"denominator vanishes at n = {b}")
+        t_b, t_next = t_next, t(j + 1)
+        inc = (_horner(num, b) * s[j] - _horner(rem, b) * d) * w[j] \
+            * prod(s[j + 1:j + J + 1])
+        if inc != d * (t_b * s[j + J] - t_next * s[j]):
             return False
     return True
 

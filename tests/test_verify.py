@@ -2,7 +2,9 @@ import logging
 import re
 from dataclasses import replace
 from fractions import Fraction
-from math import prod
+from functools import cache
+from math import factorial, prod
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -38,6 +40,7 @@ from holoreduce.errors import (
     SingularLeadingCoefficient,
 )
 from holoreduce.polynomials import _horner, integer_roots, integer_rows
+from holoreduce.reduction import ReductionResult
 from holoreduce.sequences import DOMB_16N_OPERATOR, DOMB_NEG32N_OPERATOR, catalog
 from holoreduce.verify import (
     _SIGMA,
@@ -1162,3 +1165,172 @@ class TestCertifiedTail:
         caplog.clear()
         numeric_series_check(fixture("domb_neg32_upper_sq"), 4000)
         assert not caplog.records  # nothing at the default level
+
+
+# -- the exact channel on integer windows ------------------------------------
+#
+# check_telescoping and verify_identity_exact as they were on Fraction sums
+# of series_terms, kept verbatim as the oracle, apart from the names of the
+# helpers and a sequence resolved through the module, so that a patched
+# verify._resolve reaches the oracle too.
+
+_ONE = Polynomial([1])
+
+
+def _fraction_check_telescoping(seq, op: ShiftOperator, x: Polynomial, window) -> bool:
+    seq = verify_module._resolve(seq)
+    a, b = window
+    if b < a or a < seq.start_index:
+        raise DomainViolation(f"window [{a}, {b}] outside domain of {seq.name}")
+    us = op.certificate(x)
+    lhs = sum(seq.series_terms(op.adjoint_apply(x), _ONE, a, b - 1), Fraction(0))
+    values = seq.values(a, b + len(us) - 1)
+    return lhs == _fraction_boundary(us, values, a, a) \
+        - _fraction_boundary(us, values, a, b)
+
+
+def _fraction_boundary(us, values, a: int, m: int) -> Fraction:
+    return sum((u.evaluate(m) * values[m - a + i] for i, u in enumerate(us)),
+               Fraction(0))
+
+
+def _fraction_verify_identity_exact(fix, source, rr, window_length=200):
+    if window_length < 0:
+        raise ValueError(f"window length must be >= 0, got {window_length}")
+    if fix.sequence_key != source.sequence_key:
+        raise MismatchedSequence(
+            f"{fix.sequence_key} vs {source.sequence_key}")
+    seq = verify_module._resolve(fix.sequence_key)
+    sp = rr.denominator
+
+    if fix.recipe is not None and (
+            rr.remainder_numer != fix.recipe.scalar * fix.numer or sp != fix.denom):
+        return False
+    if not rr.reduction.check(source.numer * sp):
+        return False
+
+    us = rr.reduction.certificate
+    a = max(first_valid_index(fix, rr), source.start_index, seq.start_index)
+    last = a + window_length
+    g = list(seq.series_terms(_ONE, sp, a, last + len(us)))  # F / SP
+    terms = zip(range(a, last + 1),
+                seq.series_terms(source.numer, source.denom, a, last),
+                seq.series_terms(rr.remainder_numer, sp, a, last))
+    diff_sum = Fraction(0)
+    t_a = _fraction_boundary(us, g, a, a)
+    for b, src, rem in terms:
+        diff_sum += src - rem
+        if diff_sum != t_a - _fraction_boundary(us, g, a, b + 1):
+            return False
+    return True
+
+
+@cache
+def _recipe_case(name):
+    """(fixture, source with denominator 1, rederived reduction)."""
+    fix = fixture(name)
+    source = IdentityFixture(
+        sequence_key=fix.sequence_key, numer=fix.recipe.source_numer,
+        denom=Polynomial([1]), start_index=get_sequence(fix.sequence_key).start_index,
+        target_r0=Fraction(0), target_r1=Fraction(0))
+    return fix, source, rederive(fix, source)
+
+
+def _corrupted(seq, k, delta):
+    """A copy of ``seq`` with F(k) + delta at k, by an override, so the
+    recurrence runs on from the corrupted value."""
+    return HolonomicSequence(seq.operator, seq.start_index, seq._initial,
+                             name=seq.name, oracle=seq.oracle,
+                             overrides={**seq.overrides, k: seq.eval(k) + delta})
+
+
+_DELTAS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+class TestIntegerExactChannel:
+    @given(name=st.sampled_from(_RECIPE_FIXTURES), window=st.integers(0, 60),
+           variant=st.integers(0, 6), root=st.integers(-10, 70),
+           corrupt=st.none() | st.tuples(st.integers(0, 100), _DELTAS))
+    @settings(max_examples=200, deadline=None)
+    def test_identity_exact_matches_fraction_sums(self, name, window, variant,
+                                                  root, corrupt):
+        fix, source, rr = _recipe_case(name)
+        a = first_valid_index(fix, rr)
+        src = [
+            source,
+            replace(source, start_index=a + 3),
+            replace(source, denom=N + 100),
+            replace(source, denom=N - (a + 3)),
+            replace(source, numer=source.numer + 1),
+            # a root before, inside or after the window
+            replace(source, denom=N - (a + root)),
+            # 1 at a, ..., a + j - 1 and 0 at a + j, so that the indices
+            # before the root pass (j = 0: the zero polynomial)
+            replace(source, denom=1 - prod((N - (a + k) for k in range(root % 13)),
+                                           start=_ONE) / factorial(root % 13)),
+        ][variant]
+        args = (fix, src, rr, window)
+        with pytest.MonkeyPatch.context() as mp:
+            if corrupt is not None:
+                # one value of F(a'..last + J) changed, a' the window's start
+                seq = get_sequence(fix.sequence_key)
+                lo = max(a, src.start_index, seq.start_index)
+                k = lo + corrupt[0] % (window + len(rr.reduction.certificate) + 1)
+                copy = _corrupted(seq, k, corrupt[1])
+                mp.setattr(verify_module, "_resolve",
+                           lambda key: copy if key == fix.sequence_key else _resolve(key))
+            assert _outcome(verify_identity_exact, *args) == \
+                _outcome(_fraction_verify_identity_exact, *args)
+
+    @given(case=_summands(_OPERATOR_KEYS), x=_POLYS,
+           corrupt=st.none() | st.tuples(st.integers(0, 100), _DELTAS))
+    @settings(max_examples=100, deadline=None)
+    def test_check_telescoping_matches_fraction_sums(self, case, x, corrupt):
+        key, _, _, a, b = case
+        seq = get_sequence(key)
+        if corrupt is not None and seq.start_index <= a <= b:
+            k = a + corrupt[0] % (b - a + seq.operator.order)
+            seq = _corrupted(seq, k, corrupt[1])
+        args = (seq, seq.operator, x, (a, b))
+        assert _outcome(check_telescoping, *args) == \
+            _outcome(_fraction_check_telescoping, *args)
+
+    def test_check_telescoping_compares_totals(self):
+        # two values strictly inside (a + J, b), wrong by deltas whose
+        # contributions L*(x)(k) delta_k to the left side cancel, while
+        # U(a) and U(b) read neither: the totals still agree
+        seq = get_sequence("domb_over_neg32n")
+        op, x, a, b = seq.operator, N + 2, 0, 30
+        image, J = op.adjoint_apply(x), op.order
+        k1, k2 = a + J + 3, b - 4
+        wrong = {k1: image.evaluate(k2), k2: -image.evaluate(k1)}
+        assert all(wrong.values())
+
+        def copy(deltas):
+            return HolonomicSequence(
+                None, seq.start_index, [],
+                oracle=lambda k: seq.eval(k) + deltas.get(k, 0))
+
+        both = copy(wrong)
+        assert [both.eval(k) != seq.eval(k) for k in range(a, b + J)] == \
+            [k in wrong for k in range(a, b + J)]
+        assert check_telescoping(both, op, x, (a, b))
+        assert _fraction_check_telescoping(both, op, x, (a, b))
+        # either value alone is caught
+        for k in wrong:
+            assert not check_telescoping(copy({k: wrong[k]}), op, x, (a, b))
+
+    def test_identity_exact_zero_shift_product(self):
+        # SP = 0 vanishes at the window's first index, before F is read
+        zero = Polynomial()
+        rr = SimpleNamespace(
+            denominator=zero, remainder_numer=zero,
+            reduction=ReductionResult(zero, zero, (zero, zero), DOMB_NEG32N_OPERATOR))
+        fix = IdentityFixture(sequence_key="domb_over_neg32n", numer=zero,
+                              denom=zero, start_index=2, target_r0=Fraction(0),
+                              target_r1=Fraction(0))
+        for window in (0, 5):
+            args = (fix, replace(fix, denom=_ONE), rr, window)
+            assert _outcome(verify_identity_exact, *args) == \
+                _outcome(_fraction_verify_identity_exact, *args) == \
+                (ZeroDivisionError, "denominator vanishes at n = 2")
