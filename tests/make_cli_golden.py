@@ -256,6 +256,14 @@ def cases() -> list:
                 out.append(("verify", "--fixture", f"@fixtures/{name}.fixture",
                             "--mode", "exact", "--window", window,
                             "--format", fmt))
+    for name in IDENTITY_FIXTURES:
+        # the README's numeric verification on every identity fixture, with
+        # and without averaging the last two partial sums
+        base = ("verify", "--fixture", f"@fixtures/{name}.fixture",
+                "--mode", "numeric", "--N", "100000")
+        out += [(*base, "--format", "structured"), (*base, "--accel", "none")]
+    out.append(("verify", "--fixture", "@fixtures/domb_neg32_lower_cube.fixture",
+                "--mode", "numeric", "--N", "200", "--tol", "0"))
     return [list(argv) for argv in out]
 
 
