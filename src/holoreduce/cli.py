@@ -265,7 +265,7 @@ def _cmd_sum(args) -> int:
     denom = parse_polynomial(args.denom)
     if args.upper < args.lower:
         raise ValueError("--to must be at least --from")
-    total = sum(seq.series_terms(numer, denom, args.lower, args.upper), Fraction(0))
+    total = seq.partial_sum(numer, denom, args.lower, args.upper)
     _emit(args, [_render(total, args.format)],
           {"command": "sum", "sequence": args.sequence,
            "from": args.lower, "to": args.upper, "value": _body(total)})

@@ -21,27 +21,27 @@ from .operators import ShiftOperator
 from .polynomials import Polynomial, _exact, _horner, integer_rows
 
 _n = Polynomial.variable()
-# Indices per step of a private series_terms walk: a consumer that stops
-# early pays for at most this many values it does not read.
-_BLOCK = 64
 
 
 class HolonomicSequence:
     """A sequence determined by a recurrence operator and initial values.
 
-    One stepper runs the recurrence forward from ``start_index``, on
-    exact ``Fraction`` values for window reads and on ``mpf`` values for
-    numeric verification, so both channels see the same sequence: an
-    override wins at its index, and where the leading coefficient
-    vanishes the value comes from ``oracle``.  Exact windows are cached
+    Every reader sees the same sequence: an override wins at its index,
+    and where the leading coefficient vanishes the value comes from
+    ``oracle``.  One stepper runs the recurrence forward on ``Fraction``
+    values, or on ``mpf`` values for numeric verification without a
+    certified tail, and fills exact windows, which are cached
     contiguously from ``start_index`` for all callers, under a lock, so
     concurrent eval is linearizable; that cache is all that is kept.
-    :meth:`eval` past the end of the cache (and past the index just
-    after it) walks the recurrence on integers from the cache's end and
-    keeps nothing of the walk.  :meth:`series_terms`
-    gives the summands numer(n)/denom(n) * F(n) of every series the
-    package sums.  Sequences may also be oracle-only (``operator=None``):
-    their eval past the cache asks the oracle at that index alone.
+    The integer stepper :meth:`_steps` keeps values and a running sum as
+    numerators over one denominator: :meth:`eval` past the end of the
+    cache (and past the index just after it) walks it from the cache's
+    end, and :meth:`partial_sum` sums numer(n)/denom(n) * F(n) exactly on
+    it from ``start_index``, which is how a certified numeric check gets
+    the partial sum it rounds once; neither keeps anything of the walk.
+    :meth:`series_terms` gives the same summands one by one.  Sequences
+    may also be oracle-only (``operator=None``): their eval past the
+    cache asks the oracle at that index alone.
     Initial values, overrides and oracle values are ints or Fractions and
     the start index is an int (TypeError otherwise).
     """
@@ -90,34 +90,86 @@ class HolonomicSequence:
         return Fraction(_exact(self.oracle(t)))
 
     def _walk(self, n: int) -> Fraction:
-        """F(n) past the cache on integers: F(t-J..t) are kept as numerators
-        w over one denominator D.  A recurrence step appends -sum c_i w_i and
-        multiplies the kept numerators and D by a_J; a given value p/q
-        appends p*D and multiplies them by q.  So an index costs products
-        and no gcd; the one gcd is taken at n, by ``Fraction(w[-1], D)``."""
-        rows, overrides = self._rows, self.overrides
-        J = len(rows) - 1
-        # F(t-J..t) at the end of the cache; 0 stands in before the start
-        tail = ([0] + self._cache)[-(J + 1):]
-        t = self.start_index + len(self._cache) - 1
-        D = lcm(*(v.denominator for v in tail))
-        w = [v.numerator * (D // v.denominator) for v in tail]
-        for t in range(t + 1, n + 1):
-            kept = w[1:]
-            if t not in overrides:
-                m = t - J  # recurrence base point
-                *cs, lead = [_horner(row, m) for row in rows]
-                if lead:
-                    w = [x * lead for x in kept]
-                    w.append(-sum(c * x for c, x in zip(cs, kept) if c))
-                    D *= lead
-                    continue
-            v = self._given(t)
-            q = v.denominator
-            w = [x * q for x in kept] if q != 1 else kept
-            w.append(v.numerator * D)
-            D *= q
-        return Fraction(w[-1], D)
+        """F(n) past the cache on integers, by :meth:`_steps` from the
+        cache's last J + 1 values; the one gcd is taken at n, by
+        ``Fraction(w[-1], E)``."""
+        tail = ([0] + self._cache)[-len(self._rows):]
+        for _, w, E, _, _ in self._steps(self.start_index + len(self._cache) - 1,
+                                         tail, n):
+            pass
+        return Fraction(w[-1], E)
+
+    def _steps(self, t: int, tail, upto: int, summand=None):
+        """The integer stepper: from F(t-J..t) = ``tail`` (0 stands in
+        before the start), yield ``(t, w, E, sigma, tau)`` after each index
+        t up to ``upto``, where F(t-J..t) = w / E, sigma / E is the running
+        sum and tau / E the term at t.  A recurrence step at base point
+        m = t - J appends -sum a_i(m) w_i and multiplies the kept
+        numerators, sigma and E by a_J(m); a given value p/q (an initial
+        value, an override, or the oracle where a_J vanishes) appends p*E
+        and multiplies them by q.  With ``summand = (lo, numer_row,
+        denom_row)``, an index t >= lo checks denom(t) before F(t), then
+        sets sigma <- sigma*denom(t) + numer(t)*w_t and multiplies w and E
+        by denom(t).  Every product is a big integer times a small one, and
+        no gcd is taken."""
+        rows, initial, start = self._rows, self._initial, self.start_index
+        J = len(tail) - 1
+        E = lcm(*(v.denominator for v in tail))
+        w = [v.numerator * (E // v.denominator) for v in tail]
+        lo, num_row, den_row = summand or (upto + 1, (), ())
+        sigma = tau = 0
+        for t in range(t + 1, upto + 1):
+            d = _horner(den_row, t) if t >= lo else 1
+            if not d:
+                raise ZeroDivisionError(f"denominator vanishes at n = {t}")
+            kept, lead = w[1:], 0
+            if rows is not None and t - start >= len(initial) \
+                    and t not in self.overrides:
+                *cs, lead = [_horner(row, t - J) for row in rows]
+            if lead:
+                new = -sum(c * x for c, x in zip(cs, kept) if c)
+            else:
+                v = initial[t - start] if t - start < len(initial) else self._given(t)
+                new, lead = v.numerator * E, v.denominator
+            g = lead * d  # sigma and the kept numerators are over E
+            if g != 1:
+                kept = [x * g for x in kept]
+                sigma *= g
+                E *= g
+            if t >= lo:
+                tau = _horner(num_row, t) * new
+                sigma += tau
+                new *= d
+            kept.append(new)
+            w = kept
+            yield t, w, E, sigma, tau
+
+    def _summed(self, numer: Polynomial, denom: Polynomial, a: int, b: int):
+        """The states of :meth:`_steps` from the start index to b, summing
+        numer(n)/denom(n) * F(n) from n = a on, with the errors of
+        :meth:`series_terms` in its order: a vanishing denom(a) before an
+        index below the start, and one before a failing F(a..b)."""
+        if b < a:
+            return
+        # numer/denom is unchanged when both are scaled by one integer
+        _, (num_row, den_row) = integer_rows([numer, denom])
+        if not _horner(den_row, a):
+            raise ZeroDivisionError(f"denominator vanishes at n = {a}")
+        if a < self.start_index:
+            raise IndexBelowStart(f"{a} is below start index {self.start_index}")
+        J = 0 if self._rows is None else len(self._rows) - 1
+        yield from self._steps(self.start_index - 1, [0] * (J + 1), b,
+                               (a, num_row, den_row))
+
+    def partial_sum(self, numer: Polynomial, denom: Polynomial, a: int,
+                    b: int) -> Fraction:
+        """sum_{n=a..b} numer(n)/denom(n) * F(n) exactly, equal to the sum
+        of :meth:`series_terms`, error for error, but summed on integers
+        by :meth:`_steps` from the start index, with one gcd at b."""
+        sigma, E = 0, 1
+        for _, _, E, sigma, _ in self._summed(numer, denom, a, b):
+            pass
+        return Fraction(sigma, E)
 
     def values(self, a: int, b: int) -> list:
         """Exact values F(a), ..., F(b) inclusive."""
@@ -138,25 +190,22 @@ class HolonomicSequence:
                      convert=None):
         """Iterate over numer(n)/denom(n) * F(n), n = a..b: exact, from the
         shared cache in one read, or through ``convert`` (ints and Fractions
-        to, say, ``mpf``) on a private walk that runs only as far as the
-        terms are consumed, in blocks of ``_BLOCK`` indices.  Each index
-        checks the denominator before F; the terms before the first failing
-        index are yielded, then its error is raised."""
+        to, say, ``mpf``) on a private walk.  The denominators are checked
+        before F is read; the terms before the first index where denom
+        vanishes are yielded, then its error is raised."""
         # numer/denom is unchanged when both are scaled by one integer
         _, (num_row, den_row) = integer_rows([numer, denom])
         if convert is None:
-            convert, block, read = Fraction, max(b - a + 1, 1), self.values
+            convert, read = Fraction, self.values
         else:
-            values, block = [], _BLOCK
             def read(lo, hi):
-                return self._window(values, lo, hi, convert)
-        for lo in range(a, b + 1, block):
-            dens = [_horner(den_row, n) for n in range(lo, min(lo + block, b + 1))]
-            stop = lo + (dens.index(0) if 0 in dens else len(dens))
-            for n, d, f in zip(range(lo, stop), dens, read(lo, stop - 1)):
-                yield convert(_horner(num_row, n)) / d * f
-            if stop < lo + len(dens):
-                raise ZeroDivisionError(f"denominator vanishes at n = {stop}")
+                return self._window([], lo, hi, convert)
+        dens = [_horner(den_row, n) for n in range(a, b + 1)]
+        stop = a + (dens.index(0) if 0 in dens else len(dens))
+        for n, d, f in zip(range(a, stop), dens, read(a, stop - 1)):
+            yield convert(_horner(num_row, n)) / d * f
+        if stop <= b:
+            raise ZeroDivisionError(f"denominator vanishes at n = {stop}")
 
     def _extend(self, values, upto: int, convert) -> None:
         """Extend ``values``, which holds F(start_index), F(start_index+1),

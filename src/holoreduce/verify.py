@@ -13,7 +13,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import ceil, gcd, isqrt, lcm, prod
 
 from .errors import (
     DomainViolation,
@@ -183,10 +183,15 @@ def check_telescoping(seq, op: ShiftOperator, x: Polynomial, window) -> bool:
 
 
 def first_valid_index(fix, rr: RationalReductionResult) -> int:
-    """Smallest index where the reduced summand and certificate are defined."""
-    sp, start = rr.denominator, fix.start_index
-    roots = [] if sp.is_zero() else [r for r in integer_roots(sp) if r >= start]
-    return max(roots, default=start - 1) + 1
+    """Smallest index >= the fixture's start past every integer root of the
+    shift product SP(n) = prod_t A(n+t), t in the shifts of
+    ``rr.denom_spec``: those roots are r - t for the integer roots r of
+    the factor A, so SP is neither expanded nor searched."""
+    spec, start = rr.denom_spec, fix.start_index
+    shifts = spec.shifts
+    roots = integer_roots(spec.base) if spec.base else ()
+    return max((r - t for r in roots for t in shifts if r - t >= start),
+               default=start - 1) + 1
 
 
 def verify_identity_exact(fix, source, rr: RationalReductionResult,
@@ -339,62 +344,69 @@ def _tail_certificate(seq, numer: Polynomial, denom: Polynomial, lo: int,
     return good, rho
 
 
-def _tail_stop(seq, fix: IdentityFixture, last: int, bits: int):
-    """``(done, note)``: ``done(n, term, total)``, called after the term at
-    each index n has been added, is true when no later term up to ``last``
-    can change ``total``, or ``done`` is None when the tail is not
-    certified; ``note`` says which, for the log.
+def _certified_sum(seq, fix: IdentityFixture, last: int, accel: str,
+                   bits: int, m0: int, rho: Fraction):
+    """``(p, q, K)``: the exact partial sum S_K = p/q of the fixture series
+    to the first index K past m0 + J - 1 whose tail is certified below
+    2^-(bits+2) |S_K|, or, failing that, to ``last``, where ``average1``
+    takes (S_last + S_last-1)/2.
 
-    With the certificate of :func:`_tail_certificate` and M = max |term|
-    over the J terms up to n >= m0 + J - 1, |h(n)| times each of the last
-    J values of F is at most SIGMA^(J-1) M / (1-u)^3, as a term rounds 3
-    times.  A step of the recurrence rounds J + 1 times, so each later
-    value of F is at most rho (1+u)^(J+1) times the largest of the J
-    before it, and every later term, as computed, is at most
-    B = SIGMA^(2J-1) rho M (1+u)^(J+4) / (1-u)^3.  A term below a quarter
-    of an ulp of ``total`` leaves it unchanged under round-to-nearest, so
-    stopping once B is below an eighth of an ulp (the other half covers
-    the rounding of B) gives the full walk's result."""
-    import mpmath
-
-    cert = _tail_certificate(seq, fix.numer, fix.denom, fix.start_index, last,
-                             bits)
-    if isinstance(cert, str):
-        return None, f"no tail certificate: {cert}"
-    m0, rho = cert
+    For n >= m0 + J the recurrence gives |F(n)| <= rho max_{i<J}
+    |F(n-J+i)| (certificate of :func:`_tail_certificate`; no override or
+    initial value lies there), and |h(n)| <= SIGMA^(J-i) |h(n-J+i)| for
+    h = numer/denom, so each term T(n) = h(n) F(n) satisfies
+    |T(n)| <= c max_{i<J} |T(n-J+i)| with c = rho SIGMA^J < 1.  With M the
+    largest of the J terms up to K >= m0 + J - 1, the J terms after K are
+    each at most c M, the J after those at most c^2 M, and so on, so the
+    whole tail is at most B_K = J c/(1 - c) M.  The stepper keeps S_K and
+    T(K) as integers sigma / E and tau / E, and x < 2^bitlength(x) <= 2x
+    for x > 0, so |T(K)| < 2^(e_K + 1) with e_K = len(tau) - len(E) and
+    |S_K| >= 2^(len(sigma) - len(E) - 1).  With J c/(1 - c) <= 2^g, the
+    stop test max e + g + bits + 4 <= len(sigma) - len(E) implies
+    B_K <= 2^-(bits+2) |S_K|: bit lengths only, no rational per index."""
     j = seq.operator.order
-    u = Fraction(1, 2**bits)
-    factor = _to_mpf(_SIGMA**(2 * j - 1) * rho * (1 + u)**(j + 4) / (1 - u)**3)
+    c = rho * _SIGMA**j
+    g = (ceil(j * c / (1 - c)) - 1).bit_length()
+    first = max(m0 + j - 1, seq.start_index + len(seq._initial) - 1)
     recent = deque(maxlen=j)
-
-    def done(n, term, total):
-        recent.append(abs(term))
-        if n < m0 + j - 1 or n >= last or not total:
-            return False
-        _, _, exp, bc = total._mpf_
-        return factor * max(recent) < mpmath.ldexp(1, exp + bc - bits - 3)
-
-    return done, f"tail certified from m0 = {m0} with rho = {rho}"
+    start, prev = fix.start_index, (0, 1)
+    for t, _, E, sigma, tau in seq._summed(fix.numer, fix.denom, start, last):
+        if t < start:
+            continue
+        recent.append(tau.bit_length() - E.bit_length())
+        if first <= t < last and sigma and max(recent) + g + bits + 4 \
+                <= sigma.bit_length() - E.bit_length():
+            return sigma, E, t
+        if t < last:
+            prev = sigma, E
+    if accel == "average1":
+        s, e = prev
+        return sigma * e + s * E, 2 * E * e, t
+    return sigma, E, t
 
 
 def numeric_series_check(fix: IdentityFixture, n_terms: int,
                          accel: str = "average1",
                          precision: int | None = None) -> dict:
-    """Partial sum of the first ``n_terms`` terms of the fixture series in
-    >= 64-bit binary floating point, optionally averaging the last two
-    partial sums, compared against r0 + r1/pi.
+    """Partial sum of the first ``n_terms`` terms of the fixture series,
+    optionally averaging the last two partial sums, rounded to >= 64-bit
+    binary floating point and compared against r0 + r1/pi.
 
-    Where the tail contracts (see :func:`_tail_certificate`), the walk
-    stops once every remaining term is certified to be below an eighth of
-    an ulp of the partial sum: adding such terms leaves the sum unchanged,
-    so the report is bit-identical to that of the full walk.  Otherwise
-    (no recurrence, a ratio limit of 1 or more, numer = 0, an override
-    past the certified index, ...) every term is summed.  A debug record
-    on the ``holoreduce.verify`` logger gives the terms summed and the
-    certificate or the reason there is none."""
+    Where the tail contracts (see :func:`_tail_certificate`), the partial
+    sum is exact: the integer stepper of the sequence sums the terms as
+    numerators over one denominator and stops at the first index K where
+    the certified bound on the whole tail is below 2^-(bits+2) |S_K|
+    (see :func:`_certified_sum`), and S_K, or the average at the last
+    term, is rounded once, to nearest.  An exact sum cannot cancel, so
+    this path raises no PrecisionLoss.  Otherwise (no recurrence, a ratio
+    limit of 1 or more, numer = 0, an override past the certified index,
+    ...) every term is summed in ``mpf`` arithmetic, rounding at each
+    step.  A debug record on the ``holoreduce.verify`` logger gives the
+    terms summed and the certificate or the reason there is none."""
     import logging
 
     import mpmath
+    from mpmath import libmp
 
     if n_terms < 100:
         raise ValueError("need at least 100 terms")
@@ -406,22 +418,26 @@ def numeric_series_check(fix: IdentityFixture, n_terms: int,
         raise DomainViolation(
             f"fixture starts at {fix.start_index}, sequence at {seq.start_index}")
     start, last = fix.start_index, fix.start_index + n_terms - 1
+    cert = _tail_certificate(seq, fix.numer, fix.denom, start, last, bits)
     with mpmath.workprec(bits):
-        done, note = _tail_stop(seq, fix, last, bits)
-        total = prev = mpmath.mpf(0)
-        max_mag = mpmath.mpf(0)
-        for n, term in enumerate(seq.series_terms(fix.numer, fix.denom, start,
-                                                  last, _to_mpf), start):
-            prev = total
-            total += term
-            max_mag = max(max_mag, abs(total))
-            if done is not None and done(n, term, total):
-                prev = total  # the full walk's last addition leaves total
-                break
+        max_mag = mpmath.mpf(0)  # stays 0 for an exact sum, which cannot cancel
+        if isinstance(cert, str):
+            note = f"no tail certificate: {cert}"
+            total = prev = mpmath.mpf(0)
+            for n, term in enumerate(seq.series_terms(fix.numer, fix.denom, start,
+                                                      last, _to_mpf), start):
+                prev = total
+                total += term
+                max_mag = max(max_mag, abs(total))
+            value = (total + prev) / 2 if accel == "average1" else total
+        else:
+            m0, rho = cert
+            note = f"tail certified from m0 = {m0} with rho = {rho}"
+            p, q, n = _certified_sum(seq, fix, last, accel, bits, m0, rho)
+            value = mpmath.mpf(libmp.from_rational(p, q, bits, libmp.round_nearest))
         logging.getLogger(__name__).debug(
             "numeric series %s: summed %d of %d terms; %s",
             fix.label or fix.sequence_key, n - start + 1, n_terms, note)
-        value = (total + prev) / 2 if accel == "average1" else total
         if max_mag > (abs(value) + 1) * mpmath.mpf(2) ** (bits - 20):
             raise PrecisionLoss(
                 f"partial sums reached {max_mag} against result {value}")

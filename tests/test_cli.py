@@ -427,11 +427,20 @@ class TestExitCodeMatrix:
 
     @pytest.mark.parametrize("value, shown, code", [
         ("1e-4", "0.0001", 0), ("0.5", "0.5", 0), (".5E+1", "5.0", 0),
-        (" 2 ", "2.0", 0), ("7.", "7.0", 0), ("0", "0.0", 1)])
+        (" 2 ", "2.0", 0), ("7.", "7.0", 0), ("0", "0.0", 0)])
     def test_tol_takes_decimals(self, capsys, value, shown, code):
+        # the exact sum of domb_neg32_upper_sq rounds to its target's value
         got, out, _ = run(capsys, *self.NUMERIC, value)
         assert got == code
         assert f"\ntolerance = {shown}\n" in out
+
+    def test_tol_zero_fails_on_a_nonzero_error(self, capsys):
+        got, out, _ = run(capsys, "verify", "--fixture",
+                          fixture_path("domb_neg32_lower_cube"), "--mode",
+                          "numeric", "--N", "200", "--tol", "0")
+        assert got == 1
+        assert "\nabs_error = 4.03896783473158e-28\n" in out
+        assert out.endswith("\nstatus = FAIL\n")
 
 
 def test_import_leaves_mpmath_out():

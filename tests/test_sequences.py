@@ -1,7 +1,7 @@
 import random
 import threading
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import mpmath
 import pytest
@@ -254,6 +254,49 @@ class TestIntegerWalk:
         with pytest.raises(SingularLeadingCoefficient,
                            match=r"a_J\(2\) = 0 and no override value for index 2"):
             bare.eval(6)
+
+
+@st.composite
+def _sum_cases(draw):
+    """A sequence factory from :func:`_walk_cases`, or an oracle-only one
+    with an int or Fraction oracle, and a series numer/denom from a to b
+    whose integer roots lie before, inside and after [a, b]."""
+    make, _ = draw(_walk_cases())
+    start = make().start_index
+    if draw(st.integers(0, 3)) == 0:
+        c = draw(st.integers(-5, 5))
+        oracle = draw(st.sampled_from([lambda t: c * t * t + 1,
+                                       lambda t: Fraction(c * t - 1, 3)]))
+
+        def make():
+            return HolonomicSequence(None, start, [], oracle=oracle)
+    a = draw(st.integers(start - 2, start + 20))
+    b = a + draw(st.integers(-2, 30))
+    roots = st.lists(st.integers(a - 4, b + 4), max_size=2)
+    numer, denom = (draw(_small_ints) * prod((N - r for r in draw(roots)),
+                                             start=Polynomial([1]))
+                    for _ in range(2))
+    return make, numer, denom, a, b
+
+
+class TestPartialSum:
+    """partial_sum on integers against the Fraction sum of series_terms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sum_cases())
+    def test_matches_fraction_sum(self, case):
+        make, numer, denom, a, b = case
+        got = _outcome(lambda: make().partial_sum(numer, denom, a, b))
+        want = _outcome(lambda: sum(make().series_terms(numer, denom, a, b),
+                                    Fraction(0)))
+        assert got == want
+
+    def test_reads_no_cache(self):
+        seq = HolonomicSequence(DOMB_16N_OPERATOR, 0, [1, Fraction(1, 4)])
+        total = seq.partial_sum(N + 1, Polynomial([1]), 3, 300)
+        assert total == sum((Fraction((n + 1) * domb_number(n), 16**n)
+                             for n in range(3, 301)), Fraction(0))
+        assert len(seq._cache) == 2
 
 
 def numeric_values(seq, upto, bits=96):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
+from mpmath import libmp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +41,7 @@ from holoreduce.errors import (
     SingularLeadingCoefficient,
 )
 from holoreduce.polynomials import _horner, integer_roots, integer_rows
-from holoreduce.reduction import ReductionResult
+from holoreduce.reduction import ReductionResult, ShiftProductSpec
 from holoreduce.sequences import DOMB_16N_OPERATOR, DOMB_NEG32N_OPERATOR, catalog
 from holoreduce.verify import (
     _SIGMA,
@@ -809,8 +810,13 @@ class TestSeriesTermsDifferential:
 
     @pytest.mark.parametrize("bits", [96, 192])
     def test_numeric_bit_identical(self, bits):
+        # a series without a tail certificate keeps the mpf walk: an
+        # override past the last index summed takes the certificate away
+        # and changes no term
+        seq = HolonomicSequence(DOMB_NEG32N_OPERATOR, 0, [1, Fraction(-1, 8)],
+                                overrides={10**6: Fraction(1)})
         for name in _IDENTITY_FIXTURES:
-            fix = fixture(name)
+            fix = replace(fixture(name), sequence_key=seq)
             for accel in ("none", "average1"):
                 args = (fix, 2000, accel, bits)
                 assert _bits_of(numeric_series_check(*args)) == \
@@ -1065,33 +1071,173 @@ _CERTIFICATE_SEQUENCES = st.one_of(
 )
 
 
+def _exact_sum(fix, a, b):
+    seq = _resolve(fix.sequence_key)
+    return sum(seq.series_terms(fix.numer, fix.denom, a, b), Fraction(0))
+
+
+def _rounded(q, bits):
+    return libmp.from_rational(q.numerator, q.denominator, bits, libmp.round_nearest)
+
+
+def _gamma(k, u):
+    return k * u / (1 - k * u)
+
+
+def _reference_error_bound(fix, n_terms, accel, bits):
+    """A bound on |_reference_numeric_series_check(...)["value"] - S|, where
+    S is S_N, or (S_N + S_N-1)/2 under average1, derived from the
+    arithmetic of the walk alone, for u = 2^-bits and gamma_k = ku/(1-ku).
+
+    * A given value F_t goes through ``_to_mpf``, an mpf of its numerator
+      over its denominator: 2 roundings, |e_t| <= gamma_2 |F_t|.
+    * A recurrence step computes -(sum c_i v_i)/a_J: a product, at most J
+      additions and a division, so with v_i = F_i + e_i,
+      |e_t| <= gamma_(J+2) sum |c_i| |F_i| / |a_J|
+               + (1 + gamma_(J+2)) sum |c_i| |e_i| / |a_J|.
+    * A term rounds numer/denom once in the division and once in the
+      product with v_t: |term_t - T_t| <= gamma_3 |T_t|
+      + (1 + gamma_3) |h_t| |e_t| =: D_t.
+    * Recursive summation of N terms: at most gamma_(N-1) sum |term_t|.
+    * average1 adds the errors of S_N-1 (at most those of S_N) and rounds
+      the sum of the two once: u |value|.
+
+    The bound is evaluated in 53-bit mpf arithmetic; its at most 20 N
+    roundings, each by a factor within 1 +- 2^-52, move it by less than a
+    factor 2, so it is returned doubled."""
+    seq = _resolve(fix.sequence_key)
+    u = mpmath.mpf(2) ** -bits
+    start, last = fix.start_index, fix.start_index + n_terms - 1
+    rows = integer_rows(seq.operator.coeffs)[1]
+    j = len(rows) - 1
+    _, (num_row, den_row) = integer_rows([fix.numer, fix.denom])
+    with mpmath.workprec(53):
+        exact = seq.values(seq.start_index, last)
+        mags = [abs(_to_mpf(v)) for v in exact]
+        errs = []
+        for k, t in enumerate(range(seq.start_index, last + 1)):
+            m = t - j
+            stepped = k >= len(seq._initial) and t not in seq.overrides
+            if stepped:
+                *cs, lead = (abs(_horner(row, m)) for row in rows)
+                stepped = lead != 0
+            if not stepped:
+                errs.append(_gamma(2, u) * mags[k])
+                continue
+            lo = k - j
+            g = _gamma(j + 2, u)
+            errs.append((g * sum(c * mags[lo + i] for i, c in enumerate(cs))
+                         + (1 + g) * sum(c * errs[lo + i] for i, c in enumerate(cs)))
+                        / lead)
+        total_terms = total_d = mpmath.mpf(0)
+        for t in range(start, last + 1):
+            h = abs(mpmath.mpf(_horner(num_row, t)) / _horner(den_row, t))
+            k = t - seq.start_index
+            d = _gamma(3, u) * h * mags[k] + (1 + _gamma(3, u)) * h * errs[k]
+            total_terms += h * mags[k] + d
+            total_d += d
+        err = total_d + _gamma(n_terms - 1, u) * total_terms
+        if accel == "average1":
+            err += u * (abs(_to_mpf(_exact_sum(fix, start, last))) + err)
+        return 2 * err
+
+
 class TestCertifiedTail:
-    """numeric_series_check stops once the rest of the series cannot move
-    the partial sum; _reference_numeric_series_check walks every term."""
+    """numeric_series_check sums a certified series exactly, stops once the
+    certified tail is below 2^-(bits+2) |S_K|, and rounds S_K once;
+    _reference_numeric_series_check walks every term in mpf."""
 
     @given(bits=st.integers(64, 256), accel=st.sampled_from(["none", "average1"]))
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_bit_identical_to_full_walk(self, caplog, bits, accel):
+    def test_value_is_exact_partial_sum_rounded_once(self, caplog, bits, accel):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="holoreduce"):
-            for name in _IDENTITY_FIXTURES:
-                args = (fixture(name), 1000, accel, bits)
-                assert _bits_of(numeric_series_check(*args)) == \
-                    _bits_of(_reference_numeric_series_check(*args)), name
+            reports = [numeric_series_check(fixture(name), 1000, accel, bits)
+                       for name in _IDENTITY_FIXTURES]
         summed = _summed(caplog)
         assert len(summed) == len(_IDENTITY_FIXTURES)
-        assert all(k < n for k, n, _ in summed), summed
+        for name, report, (k, n, _) in zip(_IDENTITY_FIXTURES, reports, summed):
+            fix = fixture(name)
+            assert k < n, name  # stopped before the last term
+            exact = _exact_sum(fix, fix.start_index, fix.start_index + k - 1)
+            assert report["value"]._mpf_ == _rounded(exact, bits), name
+            with mpmath.workprec(bits):
+                assert report["abs_error"] == abs(report["value"] - report["target"])
 
-    def test_bit_identical_at_100000_terms(self, caplog):
-        args = (fixture("domb_neg32_base"), 100000)
+    def test_value_at_100000_terms(self, caplog):
+        fix = fixture("domb_neg32_base")
         with caplog.at_level(logging.DEBUG, logger="holoreduce"):
-            report = numeric_series_check(*args)
-        assert _bits_of(report) == _bits_of(_reference_numeric_series_check(*args))
+            report = numeric_series_check(fix, 100000)
         assert report["terms"] == 100000
         [(summed, requested, note)] = _summed(caplog)
         assert summed < 200 and requested == 100000
         assert note == "tail certified from m0 = 32 with rho = 49/64"
+        assert report["value"]._mpf_ == _rounded(_exact_sum(fix, 0, summed - 1), 96)
+
+    @pytest.mark.parametrize("accel", ["none", "average1"])
+    def test_walk_to_the_last_term_averages_exactly(self, caplog, accel):
+        # at 192 bits the stop comes after index 170, so 100 terms run out
+        fix = fixture("domb_neg32_upper_sq")
+        with caplog.at_level(logging.DEBUG, logger="holoreduce"):
+            report = numeric_series_check(fix, 100, accel, 192)
+        assert _summed(caplog)[0][:2] == (100, 100)
+        want = _exact_sum(fix, 0, 99)
+        if accel == "average1":
+            want = (want + _exact_sum(fix, 0, 98)) / 2
+        assert report["value"]._mpf_ == _rounded(want, 192)
+
+    @given(bits=st.integers(64, 256), n_terms=st.sampled_from([100, 1000]),
+           accel=st.sampled_from(["none", "average1"]))
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_agrees_with_reference_walk(self, caplog, bits, n_terms, accel):
+        # |reference - new| <= |reference - S| + |S - S_K| + |S_K - new|: the
+        # walk's own bound, the exact tail the new sum leaves out, and half
+        # an ulp of the rounding
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="holoreduce"):
+            for name in _IDENTITY_FIXTURES:
+                fix = fixture(name)
+                got = numeric_series_check(fix, n_terms, accel, bits)
+                want = _reference_numeric_series_check(fix, n_terms, accel, bits)
+                k = _summed(caplog)[-1][0]
+                last = fix.start_index + n_terms - 1
+                s = _exact_sum(fix, fix.start_index, last)
+                if accel == "average1":
+                    s = (s + _exact_sum(fix, fix.start_index, last - 1)) / 2
+                s_k = _exact_sum(fix, fix.start_index, fix.start_index + k - 1)
+                if k == n_terms:
+                    s_k = s
+                with mpmath.workprec(bits + 64):
+                    gap = abs(got["value"] - want["value"])
+                    bound = _reference_error_bound(fix, n_terms, accel, bits) \
+                        + abs(_to_mpf(s - s_k)) \
+                        + mpmath.mpf(2) ** -bits * abs(_to_mpf(s_k))
+                assert gap <= bound, (name, gap, bound)
+
+    @pytest.mark.parametrize("name", _IDENTITY_FIXTURES)
+    @pytest.mark.parametrize("bits", [64, 96, 160, 256])
+    def test_tail_bound_by_brute_force(self, name, bits):
+        # the exact tail S_last - S_K is at most B_K = J c/(1 - c) max |T|
+        # over the last J terms, c = rho SIGMA^J, and B_K is below
+        # 2^-(bits+2) |S_K|
+        fix = fixture(name)
+        seq = get_sequence(fix.sequence_key)
+        last = fix.start_index + 999
+        m0, rho = _tail_certificate(seq, fix.numer, fix.denom, fix.start_index,
+                                    last, bits)
+        p, q, k = verify_module._certified_sum(seq, fix, last, "none", bits,
+                                               m0, rho)
+        j = seq.operator.order
+        assert m0 + j - 1 <= k < last
+        s_k = _exact_sum(fix, fix.start_index, k)
+        assert Fraction(p, q) == s_k
+        c = rho * _SIGMA**j
+        terms = list(seq.series_terms(fix.numer, fix.denom, k - j + 1, k))
+        bound = j * c / (1 - c) * max(map(abs, terms))
+        assert abs(_exact_sum(fix, k + 1, last)) <= bound
+        assert bound <= abs(s_k) / 2 ** (bits + 2)
 
     @pytest.mark.parametrize("name", _IDENTITY_FIXTURES)
     def test_certificate_by_brute_force(self, name):
@@ -1323,8 +1469,9 @@ class TestIntegerExactChannel:
     def test_identity_exact_zero_shift_product(self):
         # SP = 0 vanishes at the window's first index, before F is read
         zero = Polynomial()
+        spec = ShiftProductSpec(base=zero, direction=1, order=2)
         rr = SimpleNamespace(
-            denominator=zero, remainder_numer=zero,
+            denom_spec=spec, denominator=sp_expand(spec), remainder_numer=zero,
             reduction=ReductionResult(zero, zero, (zero, zero), DOMB_NEG32N_OPERATOR))
         fix = IdentityFixture(sequence_key="domb_over_neg32n", numer=zero,
                               denom=zero, start_index=2, target_r0=Fraction(0),
@@ -1334,3 +1481,42 @@ class TestIntegerExactChannel:
             assert _outcome(verify_identity_exact, *args) == \
                 _outcome(_fraction_verify_identity_exact, *args) == \
                 (ZeroDivisionError, "denominator vanishes at n = 2")
+
+
+def _sp_first_valid_index(fix, rr):
+    """first_valid_index as it was: the integer roots of the expanded SP."""
+    sp, start = rr.denominator, fix.start_index
+    roots = [] if sp.is_zero() else [r for r in integer_roots(sp) if r >= start]
+    return max(roots, default=start - 1) + 1
+
+
+_SPEC_BASES = st.one_of(
+    st.just(Polynomial()),
+    st.builds(lambda c, roots, rest: c * prod((N - r for r in roots), start=rest),
+              _COEFFS.filter(bool), st.lists(st.integers(-8, 12), max_size=3),
+              st.sampled_from([Polynomial([1]), N**2 + 1, 2 * N + 1, 3 * N - 2])),
+)
+
+
+class TestFirstValidIndex:
+    """first_valid_index from the roots of the factor and the spec's shifts
+    against the roots of the expanded shift product."""
+
+    @pytest.mark.parametrize("name", _RECIPE_FIXTURES)
+    def test_recipe_fixtures(self, name):
+        fix = fixture(name)
+        rr = rederive(fix, None)
+        for start in range(fix.start_index - 3, fix.start_index + 4):
+            moved = replace(fix, start_index=start)
+            assert first_valid_index(moved, rr) == _sp_first_valid_index(moved, rr)
+
+    @given(base=_SPEC_BASES, direction=st.sampled_from([1, -1]),
+           order=st.integers(0, 3), base_shift=st.integers(-3, 3),
+           start=st.integers(-6, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_random_specs(self, base, direction, order, base_shift, start):
+        spec = ShiftProductSpec(base=base, direction=direction, order=order,
+                                base_shift=base_shift)
+        rr = SimpleNamespace(denom_spec=spec, denominator=sp_expand(spec))
+        fix = SimpleNamespace(start_index=start)
+        assert first_valid_index(fix, rr) == _sp_first_valid_index(fix, rr)
