@@ -112,26 +112,29 @@ class HolonomicSequence:
         sets sigma <- sigma*denom(t) + numer(t)*w_t and multiplies w and E
         by denom(t).  Every product is a big integer times a small one, and
         no gcd is taken."""
-        rows, initial, start = self._rows, self._initial, self.start_index
+        rows, initial, overrides = self._rows, self._initial, self.overrides
+        start = self.start_index
+        first = start + len(initial)  # the first index stepped
         J = len(tail) - 1
         E = lcm(*(v.denominator for v in tail))
         w = [v.numerator * (E // v.denominator) for v in tail]
         lo, num_row, den_row = summand or (upto + 1, (), ())
         sigma = tau = 0
+        d = 1
         for t in range(t + 1, upto + 1):
-            d = _horner(den_row, t) if t >= lo else 1
-            if not d:
-                raise ZeroDivisionError(f"denominator vanishes at n = {t}")
+            if t >= lo:
+                d = _horner(den_row, t)
+                if not d:
+                    raise ZeroDivisionError(f"denominator vanishes at n = {t}")
             kept, lead = w[1:], 0
-            if rows is not None and t - start >= len(initial) \
-                    and t not in self.overrides:
+            if rows is not None and t >= first and t not in overrides:
                 *cs, lead = [_horner(row, t - J) for row in rows]
             if lead:
                 new = -sum(c * x for c, x in zip(cs, kept) if c)
             else:
-                v = initial[t - start] if t - start < len(initial) else self._given(t)
+                v = initial[t - start] if t < first else self._given(t)
                 new, lead = v.numerator * E, v.denominator
-            g = lead * d  # sigma and the kept numerators are over E
+            g = lead * d  # the factor of E at t
             if g != 1:
                 kept = [x * g for x in kept]
                 sigma *= g

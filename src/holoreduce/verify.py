@@ -359,10 +359,11 @@ def _certified_sum(seq, fix: IdentityFixture, last: int, accel: str,
     largest of the J terms up to K >= m0 + J - 1, the J terms after K are
     each at most c M, the J after those at most c^2 M, and so on, so the
     whole tail is at most B_K = J c/(1 - c) M.  The stepper keeps S_K and
-    T(K) as integers sigma / E and tau / E, and x < 2^bitlength(x) <= 2x
-    for x > 0, so |T(K)| < 2^(e_K + 1) with e_K = len(tau) - len(E) and
-    |S_K| >= 2^(len(sigma) - len(E) - 1).  With J c/(1 - c) <= 2^g, the
-    stop test max e + g + bits + 4 <= len(sigma) - len(E) implies
+    T(K) as integers sigma / E and tau / E, and x < 2^bl(x) <= 2x for an
+    integer x > 0 of bit length bl(x), so |T(K)| < 2^(e_K + 1) with
+    e_K = bl(tau) - bl(E), and |S_K| >= 2^(bl(sigma) - bl(E) - 1).  With
+    J c/(1 - c) <= 2^g, the stop test max e + g + bits + 4 <=
+    bl(sigma) - bl(E) over the last J indices implies
     B_K <= 2^-(bits+2) |S_K|: bit lengths only, no rational per index."""
     j = seq.operator.order
     c = rho * _SIGMA**j
