@@ -1102,7 +1102,7 @@ def _reference_error_bound(fix, n_terms, accel, bits):
     * average1 adds the errors of S_N-1 (at most those of S_N) and rounds
       the sum of the two once: u |value|.
 
-    The bound is evaluated in 53-bit mpf arithmetic; its at most 20 N
+    The bound is evaluated in 53-bit mpf arithmetic; its at most 50 N
     roundings, each by a factor within 1 +- 2^-52, move it by less than a
     factor 2, so it is returned doubled."""
     seq = _resolve(fix.sequence_key)
