@@ -72,10 +72,6 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-# Function-style spellings of the ShiftOperator methods: f(op, x).
-adjoint_apply = ShiftOperator.adjoint_apply
-certificate_polys = ShiftOperator.certificate
-
 
 def fixtures_dir():
     """Directory containing the shipped fixture files."""

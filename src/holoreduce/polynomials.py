@@ -59,9 +59,8 @@ class Polynomial:
         cs = list(map(_exact, coeffs))
         while cs and not cs[-1]:
             cs.pop()
-        den = lcm(*(c.denominator for c in cs))  # no factor common to all is left
-        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
-        self._den = den
+        self._den, num = integer_values(cs)  # no factor common to all is left
+        self._num = tuple(num)
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
@@ -290,6 +289,14 @@ def integer_rows(polys) -> tuple:
     coefficients of ``d * polys[i]`` by ascending power."""
     den = lcm(*(p._den for p in polys))
     return den, [[c * (den // p._den) for c in p._num] for p in polys]
+
+
+def integer_values(values) -> tuple:
+    """Clear denominators: ``(d, nums)`` where ``d`` is the least common
+    denominator of the ints and Fractions ``values`` (1 for none) and
+    ``nums[i]`` is the integer ``d * values[i]``."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _horner(row, x):

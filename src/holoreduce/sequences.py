@@ -8,7 +8,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import index as _index
 
 from .errors import (
@@ -18,7 +18,7 @@ from .errors import (
 )
 from .exprio import parse_number
 from .operators import ShiftOperator
-from .polynomials import Polynomial, _exact, _horner, integer_rows
+from .polynomials import Polynomial, _exact, _horner, integer_rows, integer_values
 
 _n = Polynomial.variable()
 
@@ -91,23 +91,25 @@ class HolonomicSequence:
 
     def _walk(self, n: int) -> Fraction:
         """F(n) past the cache on integers, by :meth:`_steps` from the
-        cache's last J + 1 values; the one gcd is taken at n, by
-        ``Fraction(w[-1], E)``."""
-        tail = ([0] + self._cache)[-len(self._rows):]
-        for _, w, E, _, _ in self._steps(self.start_index + len(self._cache) - 1,
-                                         tail, n):
+        cache's last J values (none at J = 0); the one gcd is taken at n,
+        by ``Fraction(w[-1], E)``."""
+        cache = self._cache
+        E, w = integer_values(cache[len(cache) - len(self._rows) + 1:])
+        for _, w, E, _, _ in self._steps(self.start_index + len(cache) - 1, w, E, n):
             pass
         return Fraction(w[-1], E)
 
-    def _steps(self, t: int, tail, upto: int, summand=None):
-        """The integer stepper: from F(t-J..t) = ``tail`` (0 stands in
-        before the start), yield ``(t, w, E, sigma, tau)`` after each index
-        t up to ``upto``, where F(t-J..t) = w / E, sigma / E is the running
-        sum and tau / E the term at t.  A recurrence step at base point
-        m = t - J appends -sum a_i(m) w_i and multiplies the kept
-        numerators, sigma and E by a_J(m); a given value p/q (an initial
-        value, an override, or the oracle where a_J vanishes) appends p*E
-        and multiplies them by q.  With ``summand = (lo, numer_row,
+    def _steps(self, t: int, w: list, E: int, upto: int, summand=None):
+        """The integer stepper: from F(t-J+1..t) = w / E, the J values the
+        next recurrence step reads (0 stands in before the start), yield
+        ``(t, w, E, sigma, tau)`` after each index t up to ``upto``, where
+        F(t-J+1..t) = w / E (F(t) alone at J = 0), sigma / E is the
+        running sum and tau / E the term at t.  A recurrence step at base
+        point m = t - J reads all of w for -sum a_i(m) w_i, drops w_0,
+        multiplies the other J - 1 numerators, sigma and E by a_J(m) and
+        appends the new numerator; a given value p/q (an initial value, an
+        override, or the oracle where a_J vanishes) appends p*E and
+        multiplies them by q instead.  With ``summand = (lo, numer_row,
         denom_row)``, an index t >= lo checks denom(t) before F(t), then
         sets sigma <- sigma*denom(t) + numer(t)*w_t and multiplies w and E
         by denom(t).  Every product is a big integer times a small one, and
@@ -115,9 +117,7 @@ class HolonomicSequence:
         rows, initial, overrides = self._rows, self._initial, self.overrides
         start = self.start_index
         first = start + len(initial)  # the first index stepped
-        J = len(tail) - 1
-        E = lcm(*(v.denominator for v in tail))
-        w = [v.numerator * (E // v.denominator) for v in tail]
+        J = len(w)
         lo, num_row, den_row = summand or (upto + 1, (), ())
         sigma = tau = 0
         d = 1
@@ -126,25 +126,25 @@ class HolonomicSequence:
                 d = _horner(den_row, t)
                 if not d:
                     raise ZeroDivisionError(f"denominator vanishes at n = {t}")
-            kept, lead = w[1:], 0
+            lead = 0
             if rows is not None and t >= first and t not in overrides:
                 *cs, lead = [_horner(row, t - J) for row in rows]
             if lead:
-                new = -sum(c * x for c, x in zip(cs, kept) if c)
+                new = -sum(c * x for c, x in zip(cs, w) if c)
             else:
                 v = initial[t - start] if t < first else self._given(t)
                 new, lead = v.numerator * E, v.denominator
+            w = w[1:]
             g = lead * d  # the factor of E at t
             if g != 1:
-                kept = [x * g for x in kept]
+                w = [x * g for x in w]
                 sigma *= g
                 E *= g
             if t >= lo:
                 tau = _horner(num_row, t) * new
                 sigma += tau
                 new *= d
-            kept.append(new)
-            w = kept
+            w.append(new)
             yield t, w, E, sigma, tau
 
     def _summed(self, numer: Polynomial, denom: Polynomial, a: int, b: int):
@@ -161,7 +161,7 @@ class HolonomicSequence:
         if a < self.start_index:
             raise IndexBelowStart(f"{a} is below start index {self.start_index}")
         J = 0 if self._rows is None else len(self._rows) - 1
-        yield from self._steps(self.start_index - 1, [0] * (J + 1), b,
+        yield from self._steps(self.start_index - 1, [0] * J, 1, b,
                                (a, num_row, den_row))
 
     def partial_sum(self, numer: Polynomial, denom: Polynomial, a: int,
@@ -491,9 +491,7 @@ def guess_annihilator(terms, start_index: int, max_order: int, max_deg: int):
         # F(j..j+order) times the lcm of their denominators, over its content
         scaled = []
         for j in range(train):
-            window = terms[j: j + order + 1]
-            den = lcm(*(t.denominator for t in window))
-            v = [t.numerator * (den // t.denominator) for t in window]
+            _, v = integer_values(terms[j: j + order + 1])
             g = gcd(*v)
             scaled.append([x // g for x in v] if g > 1 else v)
         for deg in range(0, max_deg + 1):

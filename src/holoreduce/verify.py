@@ -13,7 +13,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, isqrt, lcm, prod
+from math import ceil, gcd, isqrt, prod
 
 from .errors import (
     DomainViolation,
@@ -30,6 +30,7 @@ from .polynomials import (
     _taylor_shift,
     integer_roots,
     integer_rows,
+    integer_values,
 )
 from .reduction import RationalReductionResult, rational_reduce
 from .sequences import get_sequence
@@ -157,12 +158,6 @@ def _resolve(seq):
     return get_sequence(seq) if isinstance(seq, str) else seq
 
 
-def _scaled(values) -> list:
-    """Integers w[i] = D * values[i], for D the lcm of the denominators."""
-    D = lcm(*(v.denominator for v in values))
-    return [v.numerator * (D // v.denominator) for v in values]
-
-
 def check_telescoping(seq, op: ShiftOperator, x: Polynomial, window) -> bool:
     """Exact check of the boundary form of the adjoint product over
     [a, b]:  sum_{n=a}^{b-1} L*(x)(n) F(n) = U(a) - U(b)  with
@@ -176,7 +171,7 @@ def check_telescoping(seq, op: ShiftOperator, x: Polynomial, window) -> bool:
         raise DomainViolation(f"window [{a}, {b}] outside domain of {seq.name}")
     us = op.certificate(x)
     _, (image, *rows) = integer_rows([op.adjoint_apply(x), *us])
-    w = _scaled(seq.values(a, b + len(us) - 1))
+    _, w = integer_values(seq.values(a, b + len(us) - 1))
     ua, ub = (sum(_horner(row, m) * w[m - a + i] for i, row in enumerate(rows))
               for m in (a, b))
     return sum(_horner(image, n) * w[n - a] for n in range(a, b)) == ua - ub
@@ -228,7 +223,7 @@ def verify_identity_exact(fix, source, rr: RationalReductionResult,
     s = [_horner(sp_row, m) for m in range(a, last + J + 1)]
     if 0 in s:  # only for SP = 0: a lies past every root of a nonzero SP
         raise ZeroDivisionError(f"denominator vanishes at n = {a + s.index(0)}")
-    w = _scaled(seq.values(a, last + J))  # F = w / D
+    _, w = integer_values(seq.values(a, last + J))  # F = w / D
 
     def t(j):  # T(a+j) times D prod_{k<J} SP(a+j+k)
         return sum(_horner(row, a + j) * w[j + i] * prod(s[j:j + i] + s[j + i + 1:j + J])

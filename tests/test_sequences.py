@@ -258,20 +258,37 @@ class TestIntegerWalk:
 
 @st.composite
 def _sum_cases(draw):
-    """A sequence factory from :func:`_walk_cases`, or an oracle-only one
-    with an int or Fraction oracle, and a series numer/denom from a to b
-    whose integer roots lie before, inside and after [a, b]."""
+    """A sequence factory from :func:`_walk_cases`, an oracle-only one
+    with an int or Fraction oracle, or one of an order-0 integer operator
+    whose a_0 vanishes inside [a, b], with or without an oracle, and a
+    series numer/denom from a to b whose integer roots lie before, inside
+    and after [a, b]."""
     make, _ = draw(_walk_cases())
     start = make().start_index
-    if draw(st.integers(0, 3)) == 0:
-        c = draw(st.integers(-5, 5))
+    kind = draw(st.integers(0, 4))
+    a = draw(st.integers(start - 2, start + 20))
+    b = a + draw(st.integers(-2, 30))
+    c = draw(st.integers(-5, 5))
+    if kind == 0:
         oracle = draw(st.sampled_from([lambda t: c * t * t + 1,
                                        lambda t: Fraction(c * t - 1, 3)]))
 
         def make():
             return HolonomicSequence(None, start, [], oracle=oracle)
-    a = draw(st.integers(start - 2, start + 20))
-    b = a + draw(st.integers(-2, 30))
+    elif kind == 1:
+        # a_0(n) F(n) = 0: F vanishes off the roots of a_0, which are given
+        inside = st.integers(a, max(a, b))
+        lead = draw(_small_ints.filter(lambda p: not p.is_zero())) * prod(
+            (N - r for r in draw(st.lists(inside, min_size=1, max_size=2))),
+            start=Polynomial([1]))
+        op = ShiftOperator([lead])
+        initial = draw(st.lists(_small_rationals, max_size=2))
+        overrides = draw(st.dictionaries(inside, _small_rationals, max_size=2))
+        oracle = draw(st.sampled_from([None, lambda t: Fraction(c * t - 1, 3)]))
+
+        def make():
+            return HolonomicSequence(op, start, initial, oracle=oracle,
+                                     overrides=overrides)
     roots = st.lists(st.integers(a - 4, b + 4), max_size=2)
     numer, denom = (draw(_small_ints) * prod((N - r for r in draw(roots)),
                                              start=Polynomial([1]))
