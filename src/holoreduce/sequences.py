@@ -148,10 +148,10 @@ class HolonomicSequence:
             yield t, w, E, sigma, tau
 
     def _summed(self, numer: Polynomial, denom: Polynomial, a: int, b: int):
-        """The states of :meth:`_steps` from the start index to b, summing
-        numer(n)/denom(n) * F(n) from n = a on, with the errors of
-        :meth:`series_terms` in its order: a vanishing denom(a) before an
-        index below the start, and one before a failing F(a..b)."""
+        """The states of :meth:`_steps` to b from F(start-J..start-1) = J
+        zeros over 1, summing numer(n)/denom(n) * F(n) from n = a on, with
+        the errors of :meth:`series_terms` in its order: a vanishing denom(a)
+        before an index below the start, and one before a failing F(a..b)."""
         if b < a:
             return
         # numer/denom is unchanged when both are scaled by one integer
