@@ -264,6 +264,17 @@ def cases() -> list:
         out += [(*base, "--format", "structured"), (*base, "--accel", "none")]
     out.append(("verify", "--fixture", "@fixtures/domb_neg32_lower_cube.fixture",
                 "--mode", "numeric", "--N", "200", "--tol", "0"))
+    for fmt in FORMATS:
+        f = ("--format", fmt)
+        out += [
+            # the degree limit at a sum over two denominators and at a
+            # quotient, and cancelled operands that pass it
+            ("reduce", "--operator", "S - 1", "--poly", "1/n^400 + 1/(n+1)^400", *f),
+            ("reduce", "--operator", "S - 1", "--poly", "1/(n^300)/(n^301)", *f),
+            ("classify", "--operator", "1/((n+1)^600)/((n+1)^600) - S", *f),
+            ("reduce", "--operator", "S - 1", "--poly",
+             "n^600/n^600 + (n+1)^300/(n+1)^300", *f),
+        ]
     return [list(argv) for argv in out]
 
 
