@@ -93,31 +93,32 @@ class _Value:
         self.parts = parts
         self.den = den
 
-    def degree_bound(self) -> int:
-        """Largest numerator or denominator degree over the S-powers, an
-        upper bound on the reduced degree."""
-        if not self.parts:
-            return 0
-        return max(self.den.degree, *(v.degree for v in self.parts.values()))
-
-    def reduced_degree(self) -> int:
-        """The degree the limit measures: the largest numerator or
-        denominator degree with each S-power's coefficient in lowest terms.
-        Also divides the factor all coefficients share with ``den`` out."""
+    def degrees(self, reduce=False) -> tuple:
+        """(numerator degree, denominator degree), each the largest over
+        the S-powers: as stored, or with ``reduce`` the degrees the limit
+        measures, with each S-power's coefficient in lowest terms.
+        Reducing also divides the factor all coefficients share with
+        ``den`` out."""
         den_deg = self.den.degree
-        if den_deg == 0 or not self.parts:
-            return self.degree_bound()
-        deg, common = 0, self.den
+        if not reduce or den_deg == 0:
+            return max((v.degree for v in self.parts.values()), default=0), den_deg
+        num_deg = den_deg = 0
+        common = self.den
         for v in self.parts.values():
             g = poly_gcd(v, self.den)
-            deg = max(deg, int(max(v.degree, den_deg) - g.degree))
+            num_deg = max(num_deg, v.degree - g.degree)
+            den_deg = max(den_deg, self.den.degree - g.degree)
             common = poly_gcd(common, g)
         if common.degree > 0:
             self.parts = {k: v.exact_div(common) for k, v in self.parts.items()}
             self.den = self.den.exact_div(common)
-        return deg
+        return num_deg, den_deg
 
-    def add(self, other):
+    def add(self, other, pos):
+        if self.den is not other.den and self.den != other.den:
+            # each numerator is multiplied by the other denominator
+            _check_degree(pos, lambda x, y: max(x[0] + y[1], y[0] + x[1], x[1] + y[1]),
+                          self, other)
         mine, theirs, den = self.parts, other.parts, self.den
         if den is not other.den and den != other.den:
             mine = {k: _product(v, other.den) for k, v in mine.items()}
@@ -132,9 +133,7 @@ class _Value:
         return _Value({k: -v for k, v in self.parts.items()}, self.den)
 
     def mul(self, other, pos):
-        if (self.degree_bound() + other.degree_bound() > _MAX_DEGREE
-                and self.reduced_degree() + other.reduced_degree() > _MAX_DEGREE):
-            raise ParseError("degree limit exceeded", pos)
+        _check_degree(pos, lambda x, y: max(x) + max(y), self, other)
         parts = {}
         for i, a in self.parts.items():
             for j, b in other.parts.items():
@@ -150,6 +149,8 @@ class _Value:
             raise NegativeShiftPower("cannot divide by the shift symbol S")
         if not other.parts:
             raise ParseError("division by zero", pos)
+        # the numerators are multiplied by other.den, den by other's numerator
+        _check_degree(pos, lambda x, y: max(x[0] + y[1], x[1] + y[0]), self, other)
         num = other.parts[0]
         parts = {k: _product(v, other.den) for k, v in self.parts.items()}
         if num.degree > 0:
@@ -160,9 +161,7 @@ class _Value:
     def pow(self, e, pos):
         if e > _MAX_EXPONENT:
             raise ParseError("exponent too large", pos)
-        if (self.degree_bound() * e > _MAX_DEGREE
-                and self.reduced_degree() * e > _MAX_DEGREE):
-            raise ParseError("degree limit exceeded", pos)
+        _check_degree(pos, lambda x: max(x) * e, self)
         if len(self.parts) == 1:  # one S-power: no cross terms
             [(k, v)] = self.parts.items()
             if k * e > _MAX_SHIFT:
@@ -176,6 +175,16 @@ class _Value:
             base = base.mul(base, pos) if e > 1 else base
             e >>= 1
         return result
+
+
+def _check_degree(pos, degree, *operands) -> None:
+    """Raise "degree limit exceeded" at ``pos`` when ``degree``, a bound
+    on the degree of what an operation builds from the (numerator,
+    denominator) degrees of its operands, breaks the limit with the
+    operands as stored and again with them reduced."""
+    if (degree(*(v.degrees() for v in operands)) > _MAX_DEGREE
+            and degree(*(v.degrees(True) for v in operands)) > _MAX_DEGREE):
+        raise ParseError("degree limit exceeded", pos)
 
 
 def _product(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -207,9 +216,9 @@ class _Parser:
     def expr(self) -> _Value:
         value = self.term()
         while self.peek()[0] in ("+", "-"):
-            op, _, _ = self.advance()
+            op, _, pos = self.advance()
             rhs = self.term()
-            value = value.add(rhs if op == "+" else rhs.neg())
+            value = value.add(rhs if op == "+" else rhs.neg(), pos)
         return value
 
     def term(self) -> _Value:

@@ -273,6 +273,32 @@ class TestLimits:
             parse(text)
         assert str(err.value) == f"{message} at position {position}"
 
+    @pytest.mark.parametrize("parse, text, position", [
+        # a quotient multiplies the denominators
+        (parse_rational_function, "1/(n^300)/(n^301)", 9),
+        (parse_operator, "1/((n+1)^600)/((n+1)^600) - S", 13),
+        # six divisions would build degree 3600 without the check
+        (parse_rational_function, "1" + "/((n+1)^600)" * 6, 13),
+        # a sum or difference over two denominators multiplies them, at
+        # the position of its + or -
+        (parse_polynomial, "1/n^400 + 1/(n+1)^400", 8),
+        (parse_rational_function, "n - 1/n^300 - 1/(n+1)^301", 12),
+    ])
+    def test_quotient_and_sum_over_limit(self, parse, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"degree limit exceeded at position {position}"
+
+    def test_quotient_and_sum_at_the_limits(self):
+        assert parse_rational_function("1/(n^300)/(n^300)") == \
+            RationalFunction(1, N**600)
+        # operands are reduced before the limit is decided
+        assert parse_polynomial("n^600/n^600 + (n+1)^300/(n+1)^300") == 2
+        assert parse_polynomial("(n^400+1)/(n^400+1)/(n^300/n^300)") == 1
+        # one shared denominator is not multiplied
+        assert parse_rational_function("1/n^400 + 2/n^400") == \
+            RationalFunction(3, N**400)
+
     def test_one_shift_power_at_the_limits(self):
         assert parse_operator("S^512") == ShiftOperator([0] * 512 + [1])
         assert parse_polynomial("(n^2)^300") == N**600
