@@ -24,6 +24,7 @@ from .polynomials import Polynomial
 from .reduction import polynomial_reduce, rational_reduce
 from .sequences import get_sequence, guess_annihilator, load_terms
 from .verify import (
+    DEFAULT_WINDOW,
     CongruenceFixture,
     IdentityFixture,
     load_fixture,
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", default=DEFAULT_PRIMES)
     p.add_argument("--tol", type=_tol, default=1e-4)
     p.add_argument("--accel", choices=("none", "average1"), default="average1")
-    p.add_argument("--window", type=_int, default=120)
+    p.add_argument("--window", type=_int, default=DEFAULT_WINDOW)
 
     p = add("eval", _cmd_eval, help="evaluate a catalog sequence exactly")
     p.add_argument("--sequence", required=True)

@@ -28,20 +28,19 @@ class HolonomicSequence:
 
     Every reader sees the same sequence: an override wins at its index,
     and where the leading coefficient vanishes the value comes from
-    ``oracle``.  One stepper runs the recurrence forward on ``Fraction``
-    values, or on ``mpf`` values for numeric verification without a
-    certified tail, and fills exact windows, which are cached
-    contiguously from ``start_index`` for all callers, under a lock, so
-    concurrent eval is linearizable; that cache is all that is kept.
-    The integer stepper :meth:`_steps` keeps values and a running sum as
-    numerators over one denominator: :meth:`eval` past the end of the
-    cache (and past the index just after it) walks it from the cache's
-    end, and :meth:`partial_sum` sums numer(n)/denom(n) * F(n) exactly on
-    it from ``start_index``, which is how a certified numeric check gets
-    the partial sum it rounds once; neither keeps anything of the walk.
-    :meth:`series_terms` gives the same summands one by one.  Sequences
-    may also be oracle-only (``operator=None``): their eval past the
-    cache asks the oracle at that index alone.
+    ``oracle``.  Exact values are cached contiguously from
+    ``start_index`` for all callers, under a lock, so concurrent eval is
+    linearizable; :meth:`_extend` fills the cache on ``Fraction`` values,
+    and the cache is all that is kept.  Every walk and every sum runs on
+    the stepper :meth:`_steps`, which keeps the values a step reads and a
+    running sum as numerators over one denominator: :meth:`eval` past the
+    cache (and past the index just after it) walks it on integers from
+    the cache's end, :meth:`partial_sum` sums numer(n)/denom(n) * F(n)
+    exactly on it from ``start_index``, and a numeric check without a
+    tail certificate runs the same sum from an ``mpf`` state; none keeps
+    anything of the walk.  :meth:`series_terms` gives the exact summands
+    one by one.  Sequences may also be oracle-only (``operator=None``):
+    their eval past the cache asks the oracle at that index alone.
     Initial values, overrides and oracle values are ints or Fractions and
     the start index is an int (TypeError otherwise).
     """
@@ -113,7 +112,8 @@ class HolonomicSequence:
         denom_row)``, an index t >= lo checks denom(t) before F(t), then
         sets sigma <- sigma*denom(t) + numer(t)*w_t and multiplies w and E
         by denom(t).  Every product is a big integer times a small one, and
-        no gcd is taken."""
+        no gcd is taken; from an ``mpf`` E every product and sum rounds
+        once."""
         rows, initial, overrides = self._rows, self._initial, self.overrides
         start = self.start_index
         first = start + len(initial)  # the first index stepped
@@ -143,15 +143,18 @@ class HolonomicSequence:
             if t >= lo:
                 tau = _horner(num_row, t) * new
                 sigma += tau
-                new *= d
+                if d != 1:
+                    new *= d
             w.append(new)
             yield t, w, E, sigma, tau
 
-    def _summed(self, numer: Polynomial, denom: Polynomial, a: int, b: int):
+    def _summed(self, numer: Polynomial, denom: Polynomial, a: int, b: int,
+                one=1):
         """The states of :meth:`_steps` to b from F(start-J..start-1) = J
-        zeros over 1, summing numer(n)/denom(n) * F(n) from n = a on, with
-        the errors of :meth:`series_terms` in its order: a vanishing denom(a)
-        before an index below the start, and one before a failing F(a..b)."""
+        zeros over ``one`` (1, or an ``mpf`` 1 for a rounded walk),
+        summing numer(n)/denom(n) * F(n) from n = a on, with the errors of
+        :meth:`series_terms` in its order: a vanishing denom(a) before an
+        index below the start, and one before a failing F(a..b)."""
         if b < a:
             return
         # numer/denom is unchanged when both are scaled by one integer
@@ -161,7 +164,7 @@ class HolonomicSequence:
         if a < self.start_index:
             raise IndexBelowStart(f"{a} is below start index {self.start_index}")
         J = 0 if self._rows is None else len(self._rows) - 1
-        yield from self._steps(self.start_index - 1, [0] * J, 1, b,
+        yield from self._steps(self.start_index - 1, [0] * J, one, b,
                                (a, num_row, den_row))
 
     def partial_sum(self, numer: Polynomial, denom: Polynomial, a: int,
@@ -175,66 +178,49 @@ class HolonomicSequence:
         return Fraction(sigma, E)
 
     def values(self, a: int, b: int) -> list:
-        """Exact values F(a), ..., F(b) inclusive."""
-        with self._lock:
-            return list(self._window(self._cache, a, b, lambda v: v))
-
-    def _window(self, values, a: int, b: int, convert):
-        """Iterate over F(a), ..., F(b) through ``convert``, on ``values``."""
+        """Exact values F(a), ..., F(b) inclusive, a slice of the cache."""
         start = self.start_index
         if b < a:
-            return iter(())
+            return []
         if a < start:
             raise IndexBelowStart(f"{a} is below start index {start}")
-        self._extend(values, b, convert)
-        return map(values.__getitem__, range(a - start, b - start + 1))
+        with self._lock:
+            self._extend(b)
+            return self._cache[a - start:b - start + 1]
 
-    def series_terms(self, numer: Polynomial, denom: Polynomial, a: int, b: int,
-                     convert=None):
-        """Iterate over numer(n)/denom(n) * F(n), n = a..b: exact, from the
-        shared cache in one read, or through ``convert`` (ints and Fractions
-        to, say, ``mpf``) on a private walk.  The denominators are checked
+    def series_terms(self, numer: Polynomial, denom: Polynomial, a: int, b: int):
+        """Iterate over the exact terms numer(n)/denom(n) * F(n), n = a..b,
+        from the shared cache in one read.  The denominators are checked
         before F is read; the terms before the first index where denom
         vanishes are yielded, then its error is raised."""
         # numer/denom is unchanged when both are scaled by one integer
         _, (num_row, den_row) = integer_rows([numer, denom])
-        if convert is None:
-            convert, read = Fraction, self.values
-        else:
-            def read(lo, hi):
-                return self._window([], lo, hi, convert)
         dens = [_horner(den_row, n) for n in range(a, b + 1)]
         stop = a + (dens.index(0) if 0 in dens else len(dens))
-        for n, d, f in zip(range(a, stop), dens, read(a, stop - 1)):
-            yield convert(_horner(num_row, n)) / d * f
+        for n, d, f in zip(range(a, stop), dens, self.values(a, stop - 1)):
+            yield Fraction(_horner(num_row, n), d) * f
         if stop <= b:
             raise ZeroDivisionError(f"denominator vanishes at n = {stop}")
 
-    def _extend(self, values, upto: int, convert) -> None:
-        """Extend ``values``, which holds F(start_index), F(start_index+1),
-        ... passed through ``convert``, so that it reaches F(upto).  The
-        arithmetic is ``+``, ``*`` and ``/`` between values and ints."""
-        start = self.start_index
-        count = upto - start + 1
-        if len(values) >= count:
-            return
-        values.extend(convert(v) for v in self._initial[len(values):count])
-        rows = self._rows
-        zero = convert(Fraction(0))
-        while len(values) < count:
+    def _extend(self, upto: int) -> None:
+        """Extend the cache, which holds F(start_index), F(start_index+1),
+        ..., so that it reaches F(upto), on ``Fraction`` values."""
+        values, start, rows = self._cache, self.start_index, self._rows
+        while len(values) < upto - start + 1:
             t = start + len(values)  # index being produced
             if rows is not None and t not in self.overrides:
                 m = t - len(rows) + 1  # recurrence base point
                 cs = [_horner(row, m) for row in rows]
                 lead = cs.pop()
                 if lead != 0:
-                    acc = zero
+                    # a Fraction: an int 0 would make -acc / lead a float
+                    acc = Fraction(0)
                     for i, c in enumerate(cs):
                         if c:
                             acc += c * values[m + i - start]
                     values.append(-acc / lead)
                     continue
-            values.append(convert(self._given(t)))
+            values.append(self._given(t))
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ from .sequences import get_sequence
 
 PRECISION_ENV = "HOLOREDUCE_PRECISION_BITS"
 DEFAULT_PRECISION_BITS = 96
+# indices after the first valid one that an exact check compares
+DEFAULT_WINDOW = 120
 
 
 def precision_bits() -> int:
@@ -190,7 +192,7 @@ def first_valid_index(fix, rr: RationalReductionResult) -> int:
 
 
 def verify_identity_exact(fix, source, rr: RationalReductionResult,
-                          window_length: int = 200) -> bool:
+                          window_length: int = DEFAULT_WINDOW) -> bool:
     """Exact windowed check that the source summand minus the reduced
     summand telescopes through the certificate, and that the fixture's
     published numerator matches the reduction remainder up to its
@@ -282,17 +284,16 @@ def _positive_from(row, m: int) -> bool:
 
 
 def _tail_certificate(seq, numer: Polynomial, denom: Polynomial, lo: int,
-                      last: int, bits: int):
+                      last: int):
     """The simple contracting case of Mezzarobba and Salvy, "Effective
     bounds for P-recursive sequences" (JSC 2010), for the series
     sum numer(n)/denom(n) * F(n): the least m0 in [lo, last - J] (so that
     a stop before ``last`` stays possible) such that, for every m >= m0,
     the rows a_0..a_J of the operator of F, numer and denom keep their
     signs, sum_{i<J} |a_i(m)| <= rho |a_J(m)| and |h(m+1)| <= SIGMA |h(m)|
-    for h = numer/denom.  Here rho = (3L + 1)/4
-    for the limit L of the ratio, and SIGMA^J rho (1 + u)^(J+1) < 1 for
-    u = 2^-bits.  Returns (m0, rho), or a string saying why there is no
-    certificate."""
+    for h = numer/denom.  Here rho = (3L + 1)/4 for the limit L of the
+    ratio, and SIGMA^J rho < 1.  Returns (m0, rho), or a string saying
+    why there is no certificate."""
     if seq.operator is None:
         return "the sequence has no recurrence"
     if not numer or not denom:
@@ -309,8 +310,7 @@ def _tail_certificate(seq, numer: Polynomial, denom: Polynomial, lo: int,
     if limit >= 1:
         return f"sum |a_i| / |a_J| tends to {limit} >= 1"
     rho = (3 * limit + 1) / 4
-    # a step of the recurrence rounds J + 1 times
-    if _SIGMA**j * rho * (1 + Fraction(1, 2**bits))**(j + 1) >= 1:
+    if _SIGMA**j * rho >= 1:
         return f"rho = {rho} is too close to 1"
     num, den = _positive_part(numer), _positive_part(denom)
     # the two inequalities first: they fail longest, and holds() stops early
@@ -396,9 +396,12 @@ def numeric_series_check(fix: IdentityFixture, n_terms: int,
     term, is rounded once, to nearest.  An exact sum cannot cancel, so
     this path raises no PrecisionLoss.  Otherwise (no recurrence, a ratio
     limit of 1 or more, numer = 0, an override past the certified index,
-    ...) every term is summed in ``mpf`` arithmetic, rounding at each
-    step.  A debug record on the ``holoreduce.verify`` logger gives the
-    terms summed and the certificate or the reason there is none."""
+    ...) the stepper sums to the last term from an ``mpf`` state instead,
+    rounding at each step, and PrecisionLoss is raised where, by the
+    exponents of sigma and E, a partial sum was about 2^(bits-20) times
+    |value| + 1.  A debug record on the ``holoreduce.verify`` logger
+    gives the terms summed and the certificate or the reason there is
+    none."""
     import logging
 
     import mpmath
@@ -414,18 +417,23 @@ def numeric_series_check(fix: IdentityFixture, n_terms: int,
         raise DomainViolation(
             f"fixture starts at {fix.start_index}, sequence at {seq.start_index}")
     start, last = fix.start_index, fix.start_index + n_terms - 1
-    cert = _tail_certificate(seq, fix.numer, fix.denom, start, last, bits)
+    cert = _tail_certificate(seq, fix.numer, fix.denom, start, last)
     with mpmath.workprec(bits):
-        max_mag = mpmath.mpf(0)  # stays 0 for an exact sum, which cannot cancel
+        lost = None  # (sigma, E) where an uncertified walk lost precision
         if isinstance(cert, str):
             note = f"no tail certificate: {cert}"
-            total = prev = mpmath.mpf(0)
-            for n, term in enumerate(seq.series_terms(fix.numer, fix.denom, start,
-                                                      last, _to_mpf), start):
-                prev = total
-                total += term
-                max_mag = max(max_mag, abs(total))
-            value = (total + prev) / 2 if accel == "average1" else total
+            mag, top, cur = mpmath.mag, mpmath.ninf, None
+            for n, _, E, sigma, _ in seq._summed(fix.numer, fix.denom, start, last,
+                                                 mpmath.mpf(1)):
+                size = mag(sigma) - mag(E)  # log2 |partial sum|, to within 2
+                if size > top:
+                    top, top_at = size, (sigma, E)
+                prev, cur = cur, (sigma, E)
+            value = cur[0] / cur[1]
+            if accel == "average1":
+                value = (value + prev[0] / prev[1]) / 2
+            if top > mag(abs(value) + 1) + bits - 20:
+                lost = top_at
         else:
             m0, rho = cert
             note = f"tail certified from m0 = {m0} with rho = {rho}"
@@ -434,9 +442,9 @@ def numeric_series_check(fix: IdentityFixture, n_terms: int,
         logging.getLogger(__name__).debug(
             "numeric series %s: summed %d of %d terms; %s",
             fix.label or fix.sequence_key, n - start + 1, n_terms, note)
-        if max_mag > (abs(value) + 1) * mpmath.mpf(2) ** (bits - 20):
-            raise PrecisionLoss(
-                f"partial sums reached {max_mag} against result {value}")
+        if lost is not None:
+            raise PrecisionLoss(f"partial sums reached {abs(lost[0] / lost[1])}"
+                                f" against result {value}")
         target = _to_mpf(fix.target_r0) + _to_mpf(fix.target_r1) / mpmath.pi
         return {
             "value": value,

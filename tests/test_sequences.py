@@ -3,7 +3,6 @@ import threading
 from fractions import Fraction
 from math import lcm, prod
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +30,6 @@ from holoreduce.sequences import (
     _nullspace_vectors,
     central_trinomial_t,
 )
-from holoreduce.verify import _to_mpf
 
 from conftest import N
 
@@ -316,40 +314,6 @@ class TestPartialSum:
         assert len(seq._cache) == 2
 
 
-def numeric_values(seq, upto, bits=96):
-    """F(start), ..., F(upto) from the stepper on mpf values."""
-    values = []
-    with mpmath.workprec(bits):
-        seq._extend(values, upto, _to_mpf)
-    return values
-
-
-class TestNumericChannel:
-    def test_override_at_regular_point(self):
-        # Fibonacci, F(n+2) = F(n) + F(n+1), with F(4) overridden
-        fib = ShiftOperator([Polynomial([1]), Polynomial([1]), Polynomial([-1])])
-        seq = HolonomicSequence(fib, 0, [0, 1], overrides={4: 100})
-        expected = [0, 1, 1, 2, 100, 102, 202]
-        assert seq.values(0, 6) == expected
-        assert numeric_values(seq, 6) == expected
-
-    def test_oracle_at_singular_point(self):
-        # F(n+1) = F(n)/2 except where a_J(300) = 0: the oracle takes over
-        op = ShiftOperator([N - 300, -2 * (N - 300)])
-        seq = HolonomicSequence(op, 0, [1],
-                                oracle=lambda t: Fraction(3, 2**t))
-        exact = seq.values(0, 320)
-        assert exact[301] == Fraction(3, 2**301)
-        assert exact[320] == Fraction(3, 2**320)
-        with mpmath.workprec(96):
-            assert numeric_values(seq, 320) == [_to_mpf(v) for v in exact]
-
-    def test_singular_point_without_oracle(self):
-        op = ShiftOperator([Polynomial([1]), Polynomial([1]), N - 3])
-        with pytest.raises(SingularLeadingCoefficient):
-            numeric_values(HolonomicSequence(op, 0, [1, 1]), 5)
-
-
 class TestSeriesTerms:
     def test_exact_terms(self):
         seq = get_sequence("domb")
@@ -390,15 +354,6 @@ class TestSeriesTerms:
             list(seq.series_terms(Polynomial([1]), N - 4, 0, 6))
         with pytest.raises(SingularLeadingCoefficient):
             list(seq.series_terms(Polynomial([1]), N - 6, 0, 6))
-
-    def test_mpf_terms(self):
-        seq = get_sequence("domb_over_neg32n")
-        exact = list(seq.series_terms(3 * N + 1, N + 2, 0, 300))
-        with mpmath.workprec(96):
-            approx = list(seq.series_terms(3 * N + 1, N + 2, 0, 300, _to_mpf))
-            bound = mpmath.mpf(2) ** -80
-            for e, v in zip(exact, approx, strict=True):
-                assert abs(v - _to_mpf(e)) <= bound * abs(_to_mpf(e))
 
     def test_values_window(self):
         seq = get_sequence("franel")
