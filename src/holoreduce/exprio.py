@@ -101,7 +101,7 @@ class _Value:
         ``den`` out."""
         den_deg = self.den.degree
         if not reduce or den_deg == 0:
-            return max((v.degree for v in self.parts.values()), default=0), den_deg
+            return max([v.degree for v in self.parts.values()], default=0), den_deg
         num_deg = den_deg = 0
         common = self.den
         for v in self.parts.values():
@@ -149,8 +149,10 @@ class _Value:
             raise NegativeShiftPower("cannot divide by the shift symbol S")
         if not other.parts:
             raise ParseError("division by zero", pos)
-        # the numerators are multiplied by other.den, den by other's numerator
-        _check_degree(pos, lambda x, y: max(x[0] + y[1], x[1] + y[0]), self, other)
+        if other.den is not _ONE or other.parts[0].degree > 0:
+            # the numerators times other.den, den times other's numerator
+            _check_degree(pos, lambda x, y: max(x[0] + y[1], x[1] + y[0]),
+                          self, other)
         num = other.parts[0]
         parts = {k: _product(v, other.den) for k, v in self.parts.items()}
         if num.degree > 0:
@@ -161,7 +163,9 @@ class _Value:
     def pow(self, e, pos):
         if e > _MAX_EXPONENT:
             raise ParseError("exponent too large", pos)
-        _check_degree(pos, lambda x: max(x) * e, self)
+        if (max(self.degrees()) * e > _MAX_DEGREE
+                and max(self.degrees(True)) * e > _MAX_DEGREE):
+            raise ParseError("degree limit exceeded", pos)
         if len(self.parts) == 1:  # one S-power: no cross terms
             [(k, v)] = self.parts.items()
             if k * e > _MAX_SHIFT:
@@ -177,13 +181,13 @@ class _Value:
         return result
 
 
-def _check_degree(pos, degree, *operands) -> None:
+def _check_degree(pos, degree, a, b) -> None:
     """Raise "degree limit exceeded" at ``pos`` when ``degree``, a bound
     on the degree of what an operation builds from the (numerator,
-    denominator) degrees of its operands, breaks the limit with the
-    operands as stored and again with them reduced."""
-    if (degree(*(v.degrees() for v in operands)) > _MAX_DEGREE
-            and degree(*(v.degrees(True) for v in operands)) > _MAX_DEGREE):
+    denominator) degrees of its operands a and b, breaks the limit with
+    them as stored and again with them reduced."""
+    if (degree(a.degrees(), b.degrees()) > _MAX_DEGREE
+            and degree(a.degrees(True), b.degrees(True)) > _MAX_DEGREE):
         raise ParseError("degree limit exceeded", pos)
 
 

@@ -277,11 +277,11 @@ def _int_horner(coeffs, m):
 def _reference_numeric_values(seq, upto):
     """F(start), ..., F(upto) as mpf values via the forward recurrence.
 
-    The separate mpf walk that the shared stepper replaced, kept as the
-    reference: integer coefficient rows when the operator has them, else
-    each Fraction coefficient rounded to mpf.  A given value (an initial
-    value, an override, or the oracle where a_J vanishes) is read exactly
-    and rounded."""
+    An mpf walk of its own, independent of the package's stepper, for
+    _reference_numeric_series_check: integer coefficient rows when the
+    operator has them, else each Fraction coefficient rounded to mpf.  A
+    given value (an initial value, an override, or the oracle where a_J
+    vanishes) is read exactly and rounded."""
     if seq.operator is None:
         return [_to_mpf(seq.eval(m)) for m in range(seq.start_index, upto + 1)]
     j_ord = seq.operator.order
