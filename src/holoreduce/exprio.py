@@ -116,7 +116,7 @@ class _Value:
 
     def add(self, other, pos):
         if self.den is not other.den and self.den != other.den:
-            # each numerator is multiplied by the other denominator
+            # numerators times the other den; the check may reduce both
             _check_degree(pos, lambda x, y: max(x[0] + y[1], y[0] + x[1], x[1] + y[1]),
                           self, other)
         mine, theirs, den = self.parts, other.parts, self.den
