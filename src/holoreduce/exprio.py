@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isfinite
 
 from .errors import NegativeShiftPower, ParseError, ZeroOperator
-from .polynomials import Polynomial, RationalFunction, poly_gcd
+from .polynomials import Polynomial, RationalFunction, _poly, _reduced, poly_gcd
 from .operators import ShiftOperator
 
 SCHEMA = "holoreduce-v1"
@@ -25,9 +25,11 @@ _MAX_DEGREE = 600
 _MAX_SHIFT = 512
 _MAX_EXPONENT = 4096
 _MAX_NESTING = 128
+_MAX_BITS = 1 << 20
 
 _ZERO = Polynomial()
 _ONE = Polynomial.constant(1)
+_N = Polynomial.variable()
 _NUMBER = re.compile(r"\s*([+-]?[0-9]+(/[0-9]+)?)\s*")
 _DECIMAL = re.compile(r"\s*([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*")
 
@@ -53,27 +55,20 @@ def parse_decimal(text: str) -> float:
 
 # a token is a run of ASCII digits (str.isdigit takes superscripts too) or
 # one other character; \s skips exactly the blanks str.isspace takes
-_TOKEN = re.compile(r"[0-9]+|\S")
+_TOKEN = re.compile(r"([0-9]+)|(\S)")
+_STRAY = re.compile(r"[^\s0-9nS+*/^()-]")
 _KIND = {"n": "var", "S": "shift", **{c: c for c in "+-*/^()"}}
 
 
 def _tokenize(text: str):
     if len(text) > 4096:
         raise ParseError("input too long", 4096)
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        tok = match[0]
-        if tok in _KIND:
-            tokens.append((_KIND[tok], tok, match.start()))
-        elif tok[0] in "0123456789":
-            tokens.append(("int", int(tok), match.start()))
-        else:
-            raise ParseError(
-                f"unexpected character {tok!r}", match.start(),
-                expected={"integer", "n", "S", "operator", "parenthesis"},
-            )
-    tokens.append(("end", None, len(text)))
-    return tokens
+    stray = _STRAY.search(text)
+    if stray:
+        raise ParseError(f"unexpected character {stray[0]!r}", stray.start(),
+                         expected={"integer", "n", "S", "operator", "parenthesis"})
+    return [("int", int(k), m.start()) if k else (_KIND[c], c, m.start())
+            for m in _TOKEN.finditer(text) for k, c in (m.groups(),)] + [("end", None, len(text))]
 
 
 class _Value:
@@ -92,6 +87,19 @@ class _Value:
     def __init__(self, parts, den=_ONE):
         self.parts = parts
         self.den = den
+
+    def constant(self):
+        """(a, b) when the value is the nonzero constant a/b over ``_ONE``."""
+        c = self.parts.get(0)
+        if c is not None and len(c._num) == 1 and len(self.parts) == 1 and self.den is _ONE:
+            return c._num[0], c._den
+        return None
+
+    def scaled(self, a: int, b: int):
+        """The value times a/b for nonzero ints: each numerator row times a
+        over its denominator times b, so no degree grows."""
+        return _Value({k: _reduced([x * a for x in v._num], v._den * b)
+                       for k, v in self.parts.items()}, self.den)
 
     def degrees(self, reduce=False) -> tuple:
         """(numerator degree, denominator degree), each the largest over
@@ -121,9 +129,9 @@ class _Value:
                           self, other)
         mine, theirs, den = self.parts, other.parts, self.den
         if den is not other.den and den != other.den:
-            mine = {k: _product(v, other.den) for k, v in mine.items()}
-            theirs = {k: _product(v, den) for k, v in theirs.items()}
-            den = _product(den, other.den)
+            mine = {k: v * other.den for k, v in mine.items()}
+            theirs = {k: v * den for k, v in theirs.items()}
+            den = den * other.den
         parts = dict(mine)
         for k, v in theirs.items():
             parts[k] = parts[k] + v if k in parts else v
@@ -133,32 +141,36 @@ class _Value:
         return _Value({k: -v for k, v in self.parts.items()}, self.den)
 
     def mul(self, other, pos):
+        c = other.constant()
+        if c:
+            return self.scaled(*c)
+        c = self.constant()
+        if c:
+            return other.scaled(*c)
         _check_degree(pos, lambda x, y: max(x) + max(y), self, other)
         parts = {}
         for i, a in self.parts.items():
             for j, b in other.parts.items():
                 if i + j > _MAX_SHIFT:
                     raise ParseError("shift power limit exceeded", pos)
-                ab = _product(a, b)
-                parts[i + j] = parts[i + j] + ab if i + j in parts else ab
-        return _Value({k: v for k, v in parts.items() if v},
-                      _product(self.den, other.den))
+                parts[i + j] = parts[i + j] + a * b if i + j in parts else a * b
+        return _Value({k: v for k, v in parts.items() if v}, self.den * other.den)
 
     def div(self, other, pos):
+        c = other.constant()
+        if c:
+            return self.scaled(c[1], c[0])
         if any(k > 0 for k in other.parts):
             raise NegativeShiftPower("cannot divide by the shift symbol S")
         if not other.parts:
             raise ParseError("division by zero", pos)
-        if other.den is not _ONE or other.parts[0].degree > 0:
-            # the numerators times other.den, den times other's numerator
-            _check_degree(pos, lambda x, y: max(x[0] + y[1], x[1] + y[0]),
-                          self, other)
+        # the numerators times other.den, den times other's numerator
+        _check_degree(pos, lambda x, y: max(x[0] + y[1], x[1] + y[0]), self, other)
         num = other.parts[0]
-        parts = {k: _product(v, other.den) for k, v in self.parts.items()}
+        parts = {k: v * other.den for k, v in self.parts.items()}
         if num.degree > 0:
-            return _Value(parts, _product(self.den, num))
-        scale = 1 / num.leading_coefficient  # a scalar: no Polynomial for 1/c
-        return _Value({k: v * scale for k, v in parts.items()}, self.den)
+            return _Value(parts, self.den * num)
+        return _Value(parts, self.den).scaled(num._den, num._num[0])
 
     def pow(self, e, pos):
         if e > _MAX_EXPONENT:
@@ -166,6 +178,9 @@ class _Value:
         if (max(self.degrees()) * e > _MAX_DEGREE
                 and max(self.degrees(True)) * e > _MAX_DEGREE):
             raise ParseError("degree limit exceeded", pos)
+        if e * max(x.bit_length() for v in (self.den, *self.parts.values())
+                   for x in (v._den, *v._num)) > _MAX_BITS:
+            raise ParseError("bit size limit exceeded", pos)
         if len(self.parts) == 1:  # one S-power: no cross terms
             [(k, v)] = self.parts.items()
             if k * e > _MAX_SHIFT:
@@ -191,95 +206,83 @@ def _check_degree(pos, degree, a, b) -> None:
         raise ParseError("degree limit exceeded", pos)
 
 
-def _product(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a * b, skipping a factor that is the constant ``_ONE``."""
-    return b if a is _ONE else a if b is _ONE else a * b
-
-
 class _Parser:
+    """Recursive descent over the token list, read by index."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.idx = 0
         self.depth = 0  # parentheses open around the current token
 
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
     def parse(self) -> _Value:
         value = self.expr()
-        kind, _, pos = self.peek()
+        kind, _, pos = self.tokens[self.idx]
         if kind != "end":
             raise ParseError("unexpected token", pos, expected={"end of input", "operator"})
         return value
 
     def expr(self) -> _Value:
         value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.advance()
+        while (tok := self.tokens[self.idx])[0] in ("+", "-"):
+            self.idx += 1
             rhs = self.term()
-            value = value.add(rhs if op == "+" else rhs.neg(), pos)
+            value = value.add(rhs if tok[0] == "+" else rhs.neg(), tok[2])
         return value
 
     def term(self) -> _Value:
         value = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.advance()
+        while (tok := self.tokens[self.idx])[0] in ("*", "/"):
+            self.idx += 1
             rhs = self.factor()
-            value = value.mul(rhs, pos) if op == "*" else value.div(rhs, pos)
+            value = value.mul(rhs, tok[2]) if tok[0] == "*" else value.div(rhs, tok[2])
         return value
 
     def factor(self) -> _Value:
+        """Signs, an atom and an optional ``^`` with its exponent."""
+        tokens = self.tokens
         negate = False
-        while self.peek()[0] in ("+", "-"):
-            if self.advance()[0] == "-":
-                negate = not negate
-        value = self.power()
-        return value.neg() if negate else value
-
-    def power(self) -> _Value:
-        base = self.atom()
-        if self.peek()[0] != "^":
-            return base
-        _, _, caret_pos = self.advance()
-        kind, val, pos = self.advance()
-        if kind == "-":
-            if any(k > 0 for k in base.parts):
-                raise NegativeShiftPower("S requires a nonnegative exponent")
-            raise ParseError("exponent must be a nonnegative integer", pos,
-                             expected={"integer"})
-        if kind != "int":
-            raise ParseError("expected an integer exponent", pos,
-                             expected={"integer"})
-        return base.pow(val, caret_pos)
-
-    def atom(self) -> _Value:
-        kind, val, pos = self.advance()
+        kind, val, pos = tokens[self.idx]
+        while kind in ("+", "-"):
+            negate ^= kind == "-"
+            self.idx += 1
+            kind, val, pos = tokens[self.idx]
+        self.idx += 1
         if kind == "int":
-            return _Value({0: Polynomial.constant(val)} if val else {})
-        if kind == "var":
-            return _Value({0: Polynomial.variable()})
-        if kind == "shift":
-            return _Value({1: _ONE})
-        if kind == "(":
+            value = _Value({0: _poly((val,))} if val else {})
+        elif kind == "var":
+            value = _Value({0: _N})
+        elif kind == "shift":
+            value = _Value({1: _ONE})
+        elif kind == "(":
             self.depth += 1
             if self.depth > _MAX_NESTING:
                 raise ParseError("nesting too deep", pos)
             value = self.expr()
-            closing, _, cpos = self.advance()
-            if closing != ")":
-                raise ParseError("expected ')'", cpos, expected={")"})
+            if tokens[self.idx][0] != ")":
+                raise ParseError("expected ')'", tokens[self.idx][2], expected={")"})
+            self.idx += 1
             self.depth -= 1
-            return value
-        raise ParseError("expected a value", pos,
-                         expected={"integer", "n", "S", "("})
+        else:
+            raise ParseError("expected a value", pos,
+                             expected={"integer", "n", "S", "("})
+        if tokens[self.idx][0] == "^":
+            kind, val, pos = tokens[self.idx + 1]
+            if kind == "-":
+                if any(k > 0 for k in value.parts):
+                    raise NegativeShiftPower("S requires a nonnegative exponent")
+                raise ParseError("exponent must be a nonnegative integer", pos,
+                                 expected={"integer"})
+            if kind != "int":
+                raise ParseError("expected an integer exponent", pos,
+                                 expected={"integer"})
+            value = value.pow(val, tokens[self.idx][2])
+            self.idx += 2
+        return value.neg() if negate else value
 
 
 def _polynomial(num: Polynomial, den: Polynomial, message: str) -> Polynomial:
+    if den is _ONE:
+        return num
     quo, rem = divmod(num, den)
     if rem:
         raise ParseError(message, 0)

@@ -154,14 +154,17 @@ class Polynomial:
         return -(self - other)
 
     def __mul__(self, other):
+        """The product; a factor that is the constant 1 returns the other."""
         if isinstance(other, (int, Fraction)):
-            return _reduced([other.numerator * x for x in self._num],
-                            other.denominator * self._den)
+            return self if other == 1 else _reduced(
+                [other.numerator * x for x in self._num], other.denominator * self._den)
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._num, other._num
-        if not a or not b:
-            return _poly(())
+        if a == (1,) and self._den == 1 or not b:
+            return other
+        if b == (1,) and other._den == 1 or not a:
+            return self
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -179,6 +182,9 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        num = self._num
+        if num.count(0) == len(num) - 1:  # a monomial c*n^d: (c^k)*n^(dk)
+            return _poly((0,) * ((len(num) - 1) * k) + (num[-1] ** k,), self._den ** k)
         result = self
         for bit in bin(k)[3:]:  # left to right: no product with 1, no spare square
             result = result * result

@@ -19,7 +19,9 @@ from holoreduce import (
     to_text,
 )
 from holoreduce.errors import NegativeShiftPower, ParseError, ZeroOperator
-from holoreduce.exprio import _tokenize, parse_number
+from holoreduce.exprio import (_MAX_DEGREE, _MAX_EXPONENT, _MAX_NESTING, _MAX_SHIFT,
+                               _tokenize, parse_number)
+from holoreduce.polynomials import poly_gcd
 from holoreduce.sequences import DOMB_16N_OPERATOR, DOMB_NEG32N_OPERATOR
 
 from conftest import N, rand_fraction, rand_polynomial
@@ -305,6 +307,24 @@ class TestLimits:
         assert parse_operator("(n^2*S)^256").coeffs[-1] == N**512
         assert parse_operator("(2*S)^0") == parse_operator("1")
 
+    @pytest.mark.parametrize("parse, text, position", [
+        # 18 characters for a 268-million-bit integer, stopped at its second ^
+        (parse_polynomial, "((2^4096)^4096)^16", 9),
+        (parse_polynomial, "(2^4096)^256", 8),
+        # the bound reads the base's largest integer, whatever its degree
+        (parse_polynomial, "(n+9^4096)^600", 10),
+        (parse_rational_function, "(2^4096*(n+1)/(n+1))^600", 20),
+        (parse_operator, "(2^4096+S)^300", 10),
+    ])
+    def test_bit_size_over_limit(self, parse, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"bit size limit exceeded at position {position}"
+
+    def test_bit_size_at_the_limit(self):
+        # 255 * 4097 bits is under 2^20
+        assert parse_polynomial("(2^4096)^255") == 2 ** (4096 * 255)
+
     def test_high_power_of_rational_function(self):
         r = parse_rational_function("((n^2+1)/(n+1))^60")
         assert r.numer == (N**2 + 1) ** 60
@@ -490,6 +510,285 @@ class TestDifferential:
         degree, shift = _size(tree)
         assume(degree <= 40 and shift <= 24)
         _assert_parsers_match(tree)
+
+
+# -- differential test against the parser on generic arithmetic ------------
+#
+# The parser before it worked on integer rows, kept verbatim as an oracle:
+# every value and every error (class, position, message, expected set) of
+# the three parse functions must match it.
+
+_REF_ONE = Polynomial.constant(1)
+
+
+class _ReferenceValue:
+    """Sum over k of ``parts[k] / den * S^k`` on generic ``Polynomial``
+    arithmetic, with the degree checks on every ``*``, ``/`` and sum over
+    two denominators."""
+
+    __slots__ = ("parts", "den")
+
+    def __init__(self, parts, den=_REF_ONE):
+        self.parts = parts
+        self.den = den
+
+    def degrees(self, reduce=False) -> tuple:
+        den_deg = self.den.degree
+        if not reduce or den_deg == 0:
+            return max([v.degree for v in self.parts.values()], default=0), den_deg
+        num_deg = den_deg = 0
+        common = self.den
+        for v in self.parts.values():
+            g = poly_gcd(v, self.den)
+            num_deg = max(num_deg, v.degree - g.degree)
+            den_deg = max(den_deg, self.den.degree - g.degree)
+            common = poly_gcd(common, g)
+        if common.degree > 0:
+            self.parts = {k: v.exact_div(common) for k, v in self.parts.items()}
+            self.den = self.den.exact_div(common)
+        return num_deg, den_deg
+
+    def add(self, other, pos):
+        if self.den is not other.den and self.den != other.den:
+            _reference_check_degree(
+                pos, lambda x, y: max(x[0] + y[1], y[0] + x[1], x[1] + y[1]), self, other)
+        mine, theirs, den = self.parts, other.parts, self.den
+        if den is not other.den and den != other.den:
+            mine = {k: _reference_product(v, other.den) for k, v in mine.items()}
+            theirs = {k: _reference_product(v, den) for k, v in theirs.items()}
+            den = _reference_product(den, other.den)
+        parts = dict(mine)
+        for k, v in theirs.items():
+            parts[k] = parts[k] + v if k in parts else v
+        return _ReferenceValue({k: v for k, v in parts.items() if v}, den)
+
+    def neg(self):
+        return _ReferenceValue({k: -v for k, v in self.parts.items()}, self.den)
+
+    def mul(self, other, pos):
+        _reference_check_degree(pos, lambda x, y: max(x) + max(y), self, other)
+        parts = {}
+        for i, a in self.parts.items():
+            for j, b in other.parts.items():
+                if i + j > _MAX_SHIFT:
+                    raise ParseError("shift power limit exceeded", pos)
+                ab = _reference_product(a, b)
+                parts[i + j] = parts[i + j] + ab if i + j in parts else ab
+        return _ReferenceValue({k: v for k, v in parts.items() if v},
+                               _reference_product(self.den, other.den))
+
+    def div(self, other, pos):
+        if any(k > 0 for k in other.parts):
+            raise NegativeShiftPower("cannot divide by the shift symbol S")
+        if not other.parts:
+            raise ParseError("division by zero", pos)
+        if other.den is not _REF_ONE or other.parts[0].degree > 0:
+            _reference_check_degree(pos, lambda x, y: max(x[0] + y[1], x[1] + y[0]),
+                                    self, other)
+        num = other.parts[0]
+        parts = {k: _reference_product(v, other.den) for k, v in self.parts.items()}
+        if num.degree > 0:
+            return _ReferenceValue(parts, _reference_product(self.den, num))
+        scale = 1 / num.leading_coefficient
+        return _ReferenceValue({k: v * scale for k, v in parts.items()}, self.den)
+
+    def pow(self, e, pos):
+        if e > _MAX_EXPONENT:
+            raise ParseError("exponent too large", pos)
+        if (max(self.degrees()) * e > _MAX_DEGREE
+                and max(self.degrees(True)) * e > _MAX_DEGREE):
+            raise ParseError("degree limit exceeded", pos)
+        if len(self.parts) == 1:
+            [(k, v)] = self.parts.items()
+            if k * e > _MAX_SHIFT:
+                raise ParseError("shift power limit exceeded", pos)
+            return _ReferenceValue({k * e: v ** e},
+                                   self.den if self.den is _REF_ONE else self.den ** e)
+        result = _ReferenceValue({0: _REF_ONE})
+        base = self
+        while e:
+            if e & 1:
+                result = result.mul(base, pos)
+            base = base.mul(base, pos) if e > 1 else base
+            e >>= 1
+        return result
+
+
+def _reference_check_degree(pos, degree, a, b) -> None:
+    if (degree(a.degrees(), b.degrees()) > _MAX_DEGREE
+            and degree(a.degrees(True), b.degrees(True)) > _MAX_DEGREE):
+        raise ParseError("degree limit exceeded", pos)
+
+
+def _reference_product(a, b):
+    return b if a is _REF_ONE else a if b is _REF_ONE else a * b
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.tokens = _reference_tokenize(text)
+        self.idx = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.idx]
+
+    def advance(self):
+        tok = self.tokens[self.idx]
+        self.idx += 1
+        return tok
+
+    def parse(self):
+        value = self.expr()
+        kind, _, pos = self.peek()
+        if kind != "end":
+            raise ParseError("unexpected token", pos, expected={"end of input", "operator"})
+        return value
+
+    def expr(self):
+        value = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op, _, pos = self.advance()
+            rhs = self.term()
+            value = value.add(rhs if op == "+" else rhs.neg(), pos)
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek()[0] in ("*", "/"):
+            op, _, pos = self.advance()
+            rhs = self.factor()
+            value = value.mul(rhs, pos) if op == "*" else value.div(rhs, pos)
+        return value
+
+    def factor(self):
+        negate = False
+        while self.peek()[0] in ("+", "-"):
+            if self.advance()[0] == "-":
+                negate = not negate
+        value = self.power()
+        return value.neg() if negate else value
+
+    def power(self):
+        base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        _, _, caret_pos = self.advance()
+        kind, val, pos = self.advance()
+        if kind == "-":
+            if any(k > 0 for k in base.parts):
+                raise NegativeShiftPower("S requires a nonnegative exponent")
+            raise ParseError("exponent must be a nonnegative integer", pos,
+                             expected={"integer"})
+        if kind != "int":
+            raise ParseError("expected an integer exponent", pos,
+                             expected={"integer"})
+        return base.pow(val, caret_pos)
+
+    def atom(self):
+        kind, val, pos = self.advance()
+        if kind == "int":
+            return _ReferenceValue({0: Polynomial.constant(val)} if val else {})
+        if kind == "var":
+            return _ReferenceValue({0: Polynomial.variable()})
+        if kind == "shift":
+            return _ReferenceValue({1: _REF_ONE})
+        if kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError("nesting too deep", pos)
+            value = self.expr()
+            closing, _, cpos = self.advance()
+            if closing != ")":
+                raise ParseError("expected ')'", cpos, expected={")"})
+            self.depth -= 1
+            return value
+        raise ParseError("expected a value", pos,
+                         expected={"integer", "n", "S", "("})
+
+
+def _reference_polynomial(num, den, message):
+    quo, rem = divmod(num, den)
+    if rem:
+        raise ParseError(message, 0)
+    return quo
+
+
+def _reference_parse(kind, text):
+    """``parse_polynomial``, ``parse_rational_function`` or
+    ``parse_operator`` (for ``kind`` "polynomial", "rational" or
+    "operator") on the reference parser."""
+    value = _ReferenceParser(text).parse()
+    if kind == "operator":
+        if not value.parts:
+            raise ZeroOperator("parsed operator is zero")
+        return ShiftOperator([
+            _reference_polynomial(value.parts.get(i, Polynomial()), value.den,
+                                  f"coefficient of S^{i} is not a polynomial")
+            for i in range(max(value.parts) + 1)])
+    if any(k > 0 for k in value.parts):
+        where = "in a polynomial" if kind == "polynomial" else "here"
+        raise ParseError(f"the shift symbol S is not allowed {where}", text.index("S"))
+    num = value.parts.get(0, Polynomial())
+    if kind == "rational":
+        return RationalFunction(num, value.den)
+    return _reference_polynomial(
+        num, value.den, "expression is a rational function, not a polynomial")
+
+
+_PARSERS = {"polynomial": parse_polynomial, "rational": parse_rational_function,
+            "operator": parse_operator}
+
+
+def _outcome(parse, *args):
+    """The parsed value and its text, or the error's class, position,
+    message and expected set."""
+    try:
+        value = parse(*args)
+    except (ParseError, NegativeShiftPower, ZeroOperator) as err:
+        return (type(err), getattr(err, "position", None), str(err),
+                getattr(err, "expected", None))
+    return value, to_text(value)
+
+
+def _assert_matches_reference(text):
+    for kind, parse in _PARSERS.items():
+        assert _outcome(parse, text) == _outcome(_reference_parse, kind, text), kind
+
+
+# Token soups: the grammar's tokens and one stray character in any order,
+# separated by blanks so that digits never merge.  Literals stay at most 12
+# and there are at most three carets, so no soup builds a constant power
+# the reference would take long over.
+_SOUP_TOKENS = [str(k) for k in range(13)] + list("nS+-*/^()x")
+
+
+class TestAgainstReference:
+    @given(tokens=st.lists(st.sampled_from(_SOUP_TOKENS), max_size=30))
+    @settings(max_examples=500, deadline=None)
+    def test_token_soups(self, tokens):
+        assume(tokens.count("^") <= 3)
+        _assert_matches_reference(" ".join(tokens))
+
+    @given(tree=_EXPRESSIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_trees(self, tree):
+        _assert_matches_reference(_show(tree))
+
+    @given(tree=_WIDE_EXPRESSIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_wide_trees(self, tree):
+        degree, shift = _size(tree)
+        assume(degree <= 40 and shift <= 24)
+        _assert_matches_reference(_show(tree))
+
+    @pytest.mark.parametrize("text", [
+        "1/(n^300)/(n^301)", "(n^300+1)/(n^300+1)*n^400", "n^600/n^600",
+        "1/n^400 + 1/(n+1)^400", "(n^2*S)^513", "(2*S)^513", "n^4097",
+        "(" * 129 + "n" + ")" * 129, "S^-1", "n^-1", "1/S", "1/0", "",
+        "3/4*n^2 - 1/(-5)*n", "(n+1)/2/(-3)*S"])
+    def test_edges(self, text):
+        _assert_matches_reference(text)
 
 
 class TestPrinters:

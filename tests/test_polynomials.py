@@ -624,6 +624,28 @@ def _outcome(op, ns, *args):
         return type(err), str(err)
 
 
+class TestShortcuts:
+    @given(k=st.integers(0, 9), c=_scalars, e=st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_monomial_power_is_repeated_product(self, k, c, e):
+        # c*n^k raised directly against e multiplications, in canonical form
+        m = Polynomial.monomial(k, c)
+        product = Polynomial.constant(1)
+        for _ in range(e):
+            product = product * m
+        power = m ** e
+        assert power == product
+        assert (power.degree, power.coeffs) == (k * e, product.coeffs)
+
+    @given(a=small_polys, c=_scalars)
+    def test_factor_one_returns_the_other(self, a, c):
+        one = Polynomial.constant(1)
+        for product in (a * one, one * a, a * 1, 1 * a, a * Fraction(1)):
+            assert product is a or a == 1 == product  # 1 * 1 may return either
+        assert one * c == c and isinstance(one * c, Polynomial)
+        assert a * Polynomial() == 0 and Polynomial() * a == 0
+
+
 class TestReferenceKernel:
     @given(a=_rows, b=_rows, d=_divisors, c=_scalars, k=st.integers(0, 9),
            x=_points, e=st.integers(0, 4))
