@@ -156,8 +156,8 @@ class Polynomial:
     def __mul__(self, other):
         """The product; a factor that is the constant 1 returns the other."""
         if isinstance(other, (int, Fraction)):
-            return self if other == 1 else _reduced(
-                [other.numerator * x for x in self._num], other.denominator * self._den)
+            c, d = other.numerator, other.denominator
+            return self if c == d else _reduced([c * x for x in self._num], d * self._den)
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._num, other._num
