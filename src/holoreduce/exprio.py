@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import isfinite
+from math import gcd, isfinite
 
 from .errors import NegativeShiftPower, ParseError, ZeroOperator
-from .polynomials import Polynomial, RationalFunction, _poly, _reduced, poly_gcd
+from .polynomials import Polynomial, RationalFunction, _poly, _reduced, _signed_sum, poly_gcd
 from .operators import ShiftOperator
 
 SCHEMA = "holoreduce-v1"
@@ -132,18 +132,13 @@ class _Value:
             mine = {k: v * other.den for k, v in mine.items()}
             theirs = {k: v * den for k, v in theirs.items()}
             den = den * other.den
-        parts = dict(mine)
-        for k, v in theirs.items():
-            parts[k] = parts[k] + v if k in parts else v
-        return _Value({k: v for k, v in parts.items() if v}, den)
+        return _sum([(1, mine), (1, theirs)], den)
 
     def neg(self):
         return _Value({k: -v for k, v in self.parts.items()}, self.den)
 
     def mul(self, other, pos):
-        c = other.constant()
-        if c:
-            return self.scaled(*c)
+        """The product; ``term`` scales by constants itself, ``pow`` starts from 1."""
         c = self.constant()
         if c:
             return other.scaled(*c)
@@ -157,9 +152,6 @@ class _Value:
         return _Value({k: v for k, v in parts.items() if v}, self.den * other.den)
 
     def div(self, other, pos):
-        c = other.constant()
-        if c:
-            return self.scaled(c[1], c[0])
         if any(k > 0 for k in other.parts):
             raise NegativeShiftPower("cannot divide by the shift symbol S")
         if not other.parts:
@@ -175,6 +167,10 @@ class _Value:
     def pow(self, e, pos):
         if e > _MAX_EXPONENT:
             raise ParseError("exponent too large", pos)
+        if self.parts.get(0) is _N and len(self.parts) == 1 and self.den is _ONE:
+            if e > _MAX_DEGREE:  # the bare n: a 1-bit row, no S
+                raise ParseError("degree limit exceeded", pos)
+            return _Value({0: _poly((0,) * e + (1,))})
         if (max(self.degrees()) * e > _MAX_DEGREE
                 and max(self.degrees(True)) * e > _MAX_DEGREE):
             raise ParseError("degree limit exceeded", pos)
@@ -194,6 +190,16 @@ class _Value:
             base = base.mul(base, pos) if e > 1 else base
             e >>= 1
         return result
+
+
+def _sum(terms, den) -> _Value:
+    """The sum of sign * parts over the (sign, parts) pairs ``terms``, all
+    over ``den``: one ``_signed_sum`` per S-power."""
+    rows = {}
+    for sign, parts in terms:
+        for k, v in parts.items():
+            rows.setdefault(k, []).append((sign, v))
+    return _Value({k: v for k, t in rows.items() if (v := _signed_sum(t))}, den)
 
 
 def _check_degree(pos, degree, a, b) -> None:
@@ -222,20 +228,44 @@ class _Parser:
         return value
 
     def expr(self) -> _Value:
+        """A ``+``/``-`` chain.  Operands over ``_ONE`` wait in ``terms`` and
+        are summed at once; one over another denominator first flushes
+        them, then goes through the checked ``_Value.add``."""
         value = self.term()
+        terms = [(1, value.parts)]
         while (tok := self.tokens[self.idx])[0] in ("+", "-"):
             self.idx += 1
             rhs = self.term()
-            value = value.add(rhs if tok[0] == "+" else rhs.neg(), tok[2])
-        return value
+            sign = 1 if tok[0] == "+" else -1
+            if value.den is _ONE and rhs.den is _ONE:
+                terms.append((sign, rhs.parts))
+                continue
+            value = _sum(terms, value.den).add(rhs if sign > 0 else rhs.neg(), tok[2])
+            terms = [(1, value.parts)]
+        return _sum(terms, value.den)
 
     def term(self) -> _Value:
+        """A ``*``/``/`` chain.  Nonzero constant factors gather into one
+        ratio a/b, applied by one ``scaled`` at the end, which changes no
+        degree a check reads; ``value`` is None while every factor was one."""
         value = self.factor()
+        if self.tokens[self.idx][0] not in ("*", "/"):
+            return value
+        a = b = 1
+        if c := value.constant():
+            (a, b), value = c, None
         while (tok := self.tokens[self.idx])[0] in ("*", "/"):
             self.idx += 1
             rhs = self.factor()
-            value = value.mul(rhs, tok[2]) if tok[0] == "*" else value.div(rhs, tok[2])
-        return value
+            if c := rhs.constant():
+                a, b = (a * c[0], b * c[1]) if tok[0] == "*" else (a * c[1], b * c[0])
+            elif tok[0] == "*":
+                value = rhs if value is None else value.mul(rhs, tok[2])
+            else:
+                value = (_Value({0: _ONE}) if value is None else value).div(rhs, tok[2])
+        if value is None:
+            return _Value({0: _reduced([a], b)})
+        return value if a == b else value.scaled(a, b)
 
     def factor(self) -> _Value:
         """Signs, an atom and an optional ``^`` with its exponent."""
@@ -324,23 +354,21 @@ def to_text(value) -> str:
     if isinstance(value, (Polynomial, RationalFunction, ShiftOperator)):
         return value.text()
     if isinstance(value, (int, Fraction)):
-        f = Fraction(value)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        a, b = value.numerator, value.denominator
+        return str(a) if b == 1 else f"{a}/{b}"
     raise TypeError(f"cannot print {type(value).__name__}")
 
 
-def _fraction_latex(f: Fraction) -> str:
-    sign = "-" if f < 0 else ""
-    f = abs(f)
-    if f.denominator == 1:
-        return f"{sign}{f.numerator}"
-    return f"{sign}\\frac{{{f.numerator}}}{{{f.denominator}}}"
+def _ratio_latex(a: int, b: int) -> str:
+    """a/b, in lowest terms with b > 0, as LaTeX."""
+    sign = "-" if a < 0 else ""
+    return f"{sign}{abs(a)}" if b == 1 else f"{sign}\\frac{{{abs(a)}}}{{{b}}}"
 
 
-def _poly_terms_latex(p: Polynomial) -> str:
-    """Ascending-power rendering of an integer-primitive polynomial."""
+def _poly_terms_latex(row) -> str:
+    """Ascending-power rendering of the coprime integers ``row``."""
     parts = []
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(row):
         if c == 0:
             continue
         mag = abs(c)
@@ -357,16 +385,16 @@ def _poly_terms_latex(p: Polynomial) -> str:
 
 
 def poly_latex(p: Polynomial) -> str:
-    """LaTeX with the rational content factored out of a primitive part."""
+    """LaTeX with the rational content g/den (coprime) factored out of a primitive part."""
     if p.is_zero():
         return "0"
-    content, prim = p.rational_content()
-    inner = _poly_terms_latex(prim)
-    if content == 1:
+    g = gcd(*p._num) if p._num[-1] > 0 else -gcd(*p._num)
+    inner = _poly_terms_latex([c // g for c in p._num])
+    if g == p._den:
         return inner
-    if content == -1:
+    if g == -p._den:
         return f"-\\left({inner}\\right)"
-    return f"{_fraction_latex(content)} \\left({inner}\\right)"
+    return f"{_ratio_latex(g, p._den)} \\left({inner}\\right)"
 
 
 def to_latex(value) -> str:
@@ -389,19 +417,21 @@ def to_latex(value) -> str:
                 parts.append(f"\\left({body}\\right){sigma}")
         return " + ".join(parts)
     if isinstance(value, (int, Fraction)):
-        return _fraction_latex(Fraction(value))
+        return _ratio_latex(value.numerator, value.denominator)
     raise TypeError(f"cannot print {type(value).__name__}")
 
 
-def _fraction_body(f: Fraction) -> dict:
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+def _ratio_body(a: int, b: int) -> dict:
+    """a/b for b > 0, in lowest terms, as strings."""
+    g = gcd(a, b)
+    return {"num": str(a // g), "den": str(b // g)}
 
 
 def _body(value) -> dict:
     if isinstance(value, Polynomial):
         return {
             "kind": "polynomial",
-            "coefficients": [_fraction_body(c) for c in value.coeffs],
+            "coefficients": [_ratio_body(c, value._den) for c in value._num],
         }
     if isinstance(value, RationalFunction):
         return {
@@ -416,7 +446,7 @@ def _body(value) -> dict:
             "coefficients": [_body(c) for c in value.coeffs],
         }
     if isinstance(value, (int, Fraction)):
-        return {"kind": "rational", **_fraction_body(Fraction(value))}
+        return {"kind": "rational", **_ratio_body(value.numerator, value.denominator)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -44,6 +44,22 @@ def _reduced(num: list, den: int = 1) -> "Polynomial":
     return _poly(tuple(num), den)
 
 
+def _signed_sum(terms) -> "Polynomial":
+    """The sum of sign * p over the (sign, p) pairs ``terms``, sign +-1:
+    one lcm of the denominators, one pass over the scaled rows and one
+    reduction."""
+    if len(terms) == 1:
+        sign, p = terms[0]
+        return p if sign > 0 else -p
+    den = lcm(*(p._den for _, p in terms))
+    out = [0] * max(len(p._num) for _, p in terms)
+    for sign, p in terms:
+        f = sign * (den // p._den)
+        for i, c in enumerate(p._num):
+            out[i] += f * c
+    return _reduced(out, den)
+
+
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -265,28 +281,21 @@ class Polynomial:
         """Canonical text form, re-parseable by the expression grammar."""
         if not self._num:
             return "0"
-        parts = []
+        parts, den = [], self._den
         for k in range(len(self._num) - 1, -1, -1):
             c = self._num[k]
             if not c:
                 continue
-            mag = Fraction(abs(c), self._den)
-            if k == 0:
-                body = _fraction_text(mag)
-            else:
+            g = gcd(c, den)
+            body = f"{abs(c) // g}" if g == den else f"{abs(c) // g}/{den // g}"
+            if k:
                 var = "n" if k == 1 else f"n^{k}"
-                body = var if mag == 1 else f"{_fraction_text(mag)}*{var}"
+                body = var if abs(c) == den else f"{body}*{var}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def _fraction_text(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
 
 
 def integer_rows(polys) -> tuple:

@@ -791,6 +791,89 @@ class TestAgainstReference:
         _assert_matches_reference(text)
 
 
+# Flat chains of 20-60 operands: the parser sums a + / - chain over the
+# denominator 1 in one pass and gathers the constant factors of a product
+# into one scale.  A chain may hold one power of n at a limit, and S terms
+# and operands over n^300 or n + 1, which stand mid-chain, so a pending sum
+# is flushed before a checked +; each is drawn per chain, so that most
+# chains parse as polynomials, rational functions or operators.
+_CHAIN_POWERS = (0, 1, 599, 600, 601, 4096, 4097)
+
+
+def _chain_operand(x, divisor, with_s):
+    """The operand coded by the int x >= 0 (one draw each, which keeps
+    60-operand chains cheap to generate): a signed c/d*n^k term, a chain of
+    constants such as 2*3/4*n/5, or (when drawn for the chain) a term over
+    the divisor or times S."""
+    x, kind = divmod(x, 10)
+    x, c = divmod(x, 99)
+    x, d = divmod(x, 99)
+    x, k = divmod(x, 9)
+    sign = "-" if x % 2 else ""
+    if kind < 4:
+        return f"{sign}{c + 1}/{d + 1}*n^{k}"
+    if kind < 7:  # up to five factors 1..12 or n, joined by * or /
+        text = ""
+        for _ in range(c % 5 + 1):
+            d, f = divmod(d * 7 + k, 13)
+            f = str(f) if f else "n"
+            text += ("*" if not text else "/" if f != "n" and d % 2 else "*") + f
+        return sign + text[1:]
+    if kind < 8 and divisor:
+        return f"{sign}{c + 1}*n^{k}/{divisor}"
+    if kind < 9 and with_s:
+        return f"{sign}{c + 1}*n^{k}*S^{d % 3 + 1}"
+    return f"{sign}{c + 1}*n^{k}"
+
+
+def _chain_factor(x, divisor, with_s):
+    """``*`` or ``/`` and the factor coded by the int x >= 0: mostly
+    literals (0 rarely, never as a divisor), n and n^k, and (when drawn for
+    the chain) S or the divisor."""
+    x, kind = divmod(x, 200)
+    op = "/" if x % 3 == 2 else "*"
+    if kind == 99:
+        return "*0"
+    if kind < 120:
+        return op + str(x % 12 + 1)
+    if kind < 185 or not (divisor or with_s):
+        return op + (f"n^{x % 4}" if kind % 2 else "n")
+    if divisor and (kind < 190 or not with_s):
+        return op + divisor
+    return "*" + ("S" if kind % 2 else "S^2")
+
+
+@st.composite
+def _flat_chains(draw):
+    divisor = draw(st.sampled_from([None, "n^300", "(n+1)"]))
+    with_s = draw(st.booleans())
+    codes = draw(st.lists(st.integers(0, 2 ** 40), min_size=20, max_size=60))
+    if draw(st.booleans()):
+        parts = [_chain_factor(x, divisor, with_s) for x in codes]
+    else:
+        parts = [(" - " if x % 2 else " + ") + _chain_operand(x >> 1, divisor, with_s)
+                 for x in codes]
+    power = draw(st.none() | st.sampled_from(_CHAIN_POWERS))
+    if power is not None:
+        at = draw(st.integers(0, len(parts) - 1))
+        parts[at] = parts[at][:-len(parts[at].lstrip(" +-*/"))] + f"n^{power}"
+    return "".join(parts).lstrip(" +*/")
+
+
+class TestChainsAgainstReference:
+    @given(text=_flat_chains())
+    @settings(max_examples=150, deadline=None)
+    def test_flat_chains(self, text):
+        _assert_matches_reference(text)
+
+    @pytest.mark.parametrize("text", [
+        "2*3/4*n/5", "2/n*3", "0*n^601", "3/0*n", "1/2 + n^600 - n^600/n^300",
+        "n^599*n - 1 + 2/(n+1) + n^600", "n^4096 + 1", "1 + n^4097", "(n)^601",
+        " + ".join(["1/2*n^3"] * 30 + ["1/(n+1)"] + ["-1/2*n^3"] * 30)])
+    def test_chain_edges(self, text):
+        _assert_matches_reference(text)
+
+
 class TestPrinters:
     def test_latex_content_factoring(self):
         p = Polynomial([27, 103, 141, 78, 15]) / 9
@@ -829,6 +912,158 @@ class TestPrinters:
         text = to_text(DOMB_16N_OPERATOR)
         assert "*S^2" in text and "*S " in text
 
+
+# -- the LaTeX and structured printers against their Fraction forms ---------
+#
+# The printers before they worked on the integer rows, kept verbatim as the
+# oracle.
+
+def _reference_fraction_latex(f: Fraction) -> str:
+    sign = "-" if f < 0 else ""
+    f = abs(f)
+    if f.denominator == 1:
+        return f"{sign}{f.numerator}"
+    return f"{sign}\\frac{{{f.numerator}}}{{{f.denominator}}}"
+
+
+def _reference_poly_terms_latex(p: Polynomial) -> str:
+    parts = []
+    for k, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            var = "n" if k == 1 else (f"n^{k}" if k < 10 else f"n^{{{k}}}")
+            body = var if mag == 1 else f"{mag} {var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _reference_poly_latex(p: Polynomial) -> str:
+    if p.is_zero():
+        return "0"
+    content, prim = p.rational_content()
+    inner = _reference_poly_terms_latex(prim)
+    if content == 1:
+        return inner
+    if content == -1:
+        return f"-\\left({inner}\\right)"
+    return f"{_reference_fraction_latex(content)} \\left({inner}\\right)"
+
+
+def _reference_latex(value) -> str:
+    if isinstance(value, Polynomial):
+        return _reference_poly_latex(value)
+    if isinstance(value, RationalFunction):
+        if value.is_polynomial():
+            return _reference_poly_latex(value.numer)
+        return (f"\\frac{{{_reference_poly_latex(value.numer)}}}"
+                f"{{{_reference_poly_latex(value.denom)}}}")
+    if isinstance(value, ShiftOperator):
+        parts = []
+        for i, c in enumerate(value.coeffs):
+            if c.is_zero():
+                continue
+            body = _reference_poly_latex(c)
+            if i == 0:
+                parts.append(body)
+            else:
+                sigma = "\\sigma" if i == 1 else f"\\sigma^{{{i}}}"
+                parts.append(f"\\left({body}\\right){sigma}")
+        return " + ".join(parts)
+    return _reference_fraction_latex(Fraction(value))
+
+
+def _reference_fraction_body(f: Fraction) -> dict:
+    return {"num": str(f.numerator), "den": str(f.denominator)}
+
+
+def _reference_body(value) -> dict:
+    if isinstance(value, Polynomial):
+        return {"kind": "polynomial",
+                "coefficients": [_reference_fraction_body(c) for c in value.coeffs]}
+    if isinstance(value, RationalFunction):
+        return {"kind": "rational_function", "numer": _reference_body(value.numer),
+                "denom": _reference_body(value.denom)}
+    if isinstance(value, ShiftOperator):
+        return {"kind": "shift_operator", "order": value.order,
+                "coefficients": [_reference_body(c) for c in value.coeffs]}
+    return {"kind": "rational", **_reference_fraction_body(Fraction(value))}
+
+
+def _reference_fraction_text(c: Fraction) -> str:
+    if c.denominator == 1:
+        return str(c.numerator)
+    return f"{c.numerator}/{c.denominator}"
+
+
+def _reference_text(p: Polynomial) -> str:
+    if p.is_zero():
+        return "0"
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p.coefficient(k)
+        if not c:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = _reference_fraction_text(mag)
+        else:
+            var = "n" if k == 1 else f"n^{k}"
+            body = var if mag == 1 else f"{_reference_fraction_text(mag)}*{var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+# numerators and denominators small or of 200 digits; zero, constants and
+# polynomials up to degree 12, so powers n^{10} and up are braced
+_BIG = 10 ** 200
+_PRINTED_RATIONALS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-12, 12), st.integers(-_BIG, _BIG)),
+    st.one_of(st.integers(1, 12), st.sampled_from([1, 2, 9]), st.integers(1, _BIG)))
+_PRINTED_POLYS = st.lists(st.one_of(st.just(Fraction(0)), _PRINTED_RATIONALS),
+                          max_size=13).map(Polynomial)
+_NONZERO_POLYS = _PRINTED_POLYS.filter(bool)
+_SMALL_POLYS = st.lists(_PRINTED_RATIONALS, max_size=4).map(Polynomial)
+_PRINTED_VALUES = st.one_of(
+    _PRINTED_POLYS,
+    st.builds(RationalFunction, _SMALL_POLYS, _SMALL_POLYS.filter(bool)),
+    st.builds(lambda cs, last: ShiftOperator(cs + [last]),
+              st.lists(_PRINTED_POLYS, max_size=3), _NONZERO_POLYS),
+    _PRINTED_RATIONALS, st.integers(-_BIG, _BIG))
+
+
+class TestPrintersAgainstReference:
+    @given(value=_PRINTED_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_latex_and_structured(self, value):
+        assert to_latex(value) == _reference_latex(value)
+        assert to_structured(value) == {"schema": "holoreduce-v1", **_reference_body(value)}
+
+    @given(p=_PRINTED_POLYS)
+    @settings(max_examples=200, deadline=None)
+    def test_text(self, p):
+        assert to_text(p) == _reference_text(p)
+
+    @pytest.mark.parametrize("p", [
+        Polynomial(), Polynomial([1]), Polynomial([-1]), Polynomial([Fraction(-3, 4)]),
+        Polynomial([0, -2, 4]) / 6, Polynomial([_BIG + 1, -_BIG]) / (_BIG - 1),
+        Polynomial([1] * 12) * Fraction(-7, 5)])
+    def test_edges(self, p):
+        for value in (p, RationalFunction(p, N + 2), ShiftOperator([p, N - 1])):
+            assert to_latex(value) == _reference_latex(value)
+            assert to_structured(value) == {"schema": "holoreduce-v1",
+                                            **_reference_body(value)}
+        assert to_text(p) == _reference_text(p)
 
 class TestNumberReaders:
     """Numbers outside the expression grammar follow its rule: ASCII digits."""

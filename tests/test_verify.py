@@ -485,12 +485,17 @@ class TestFixtureParserFuzz:
     @given(text=_FIXTURE_TEXTS)
     @settings(max_examples=300, deadline=None)
     def test_load_fixture(self, fuzz_dir, text):
+        # unlinked after reading, so that every example writes a new file:
+        # rewriting one file costs a flush on some file systems (ext4
+        # flushes a truncated file on close)
         path = fuzz_dir / "fuzz.fixture"
         path.write_text(text, encoding="utf-8", errors="surrogatepass")
         try:
             fix = load_fixture(str(path))
         except USAGE_ERRORS:
             return
+        finally:
+            path.unlink()
         assert isinstance(fix, (IdentityFixture, CongruenceFixture))
 
     def test_well_formed_fixture_parses(self, fuzz_dir):
@@ -1036,6 +1041,22 @@ def _gamma(k, u):
     return k * u / (1 - k * u)
 
 
+_MAGNITUDES = {}
+
+
+def _magnitudes(seq, last):
+    """|F(t)| as 53-bit mpf for t = start..last, computed once per sequence
+    (its operator, start, initial values, oracle and overrides) and last
+    index."""
+    key = (seq.operator, seq.start_index, seq._initial, seq.oracle,
+           tuple(sorted(seq.overrides.items())), last)
+    if key not in _MAGNITUDES:
+        with mpmath.workprec(53):
+            _MAGNITUDES[key] = [abs(_to_mpf(v))
+                                for v in seq.values(seq.start_index, last)]
+    return _MAGNITUDES[key]
+
+
 def _reference_error_bound(fix, n_terms, accel, bits):
     """A bound on |_reference_numeric_series_check(...)["value"] - S|, where
     S is S_N, or (S_N + S_N-1)/2 under average1, derived from the
@@ -1064,8 +1085,7 @@ def _reference_error_bound(fix, n_terms, accel, bits):
     j = len(rows) - 1
     _, (num_row, den_row) = integer_rows([fix.numer, fix.denom])
     with mpmath.workprec(53):
-        exact = seq.values(seq.start_index, last)
-        mags = [abs(_to_mpf(v)) for v in exact]
+        mags = _magnitudes(seq, last)
         errs = []
         for k, t in enumerate(range(seq.start_index, last + 1)):
             m = t - j
@@ -1139,9 +1159,9 @@ def _stepper_error_bound(fix, n_terms, accel, bits):
     j = len(rows) - 1
     _, (num_row, den_row) = integer_rows([fix.numer, fix.denom])
     with mpmath.workprec(53):
-        exact = seq.values(seq.start_index, last)
-        mags = [abs(_to_mpf(v)) for v in exact]
+        mags = _magnitudes(seq, last)
         errs = []
+        g = _gamma(3 * j, u)
         for k, t in enumerate(range(seq.start_index, last + 1)):
             stepped = k >= len(seq._initial) and t not in seq.overrides
             if stepped:
@@ -1150,7 +1170,6 @@ def _stepper_error_bound(fix, n_terms, accel, bits):
             if not stepped:
                 errs.append(_gamma(3, u) * mags[k])
                 continue
-            g = _gamma(3 * j, u)
             errs.append((g * sum(c * mags[k - j + i] for i, c in enumerate(cs))
                          + (1 + g) * sum(c * errs[k - j + i] for i, c in enumerate(cs)))
                         / lead)
