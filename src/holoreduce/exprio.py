@@ -168,7 +168,7 @@ class _Value:
         if e > _MAX_EXPONENT:
             raise ParseError("exponent too large", pos)
         if self.parts.get(0) is _N and len(self.parts) == 1 and self.den is _ONE:
-            if e > _MAX_DEGREE:  # the bare n: a 1-bit row, no S
+            if e > _MAX_DEGREE:  # the bare n: the general checks' result, at less cost
                 raise ParseError("degree limit exceeded", pos)
             return _Value({0: _poly((0,) * e + (1,))})
         if (max(self.degrees()) * e > _MAX_DEGREE
@@ -228,20 +228,20 @@ class _Parser:
         return value
 
     def expr(self) -> _Value:
-        """A ``+``/``-`` chain.  Operands over ``_ONE`` wait in ``terms`` and
-        are summed at once; one over another denominator first flushes
-        them, then goes through the checked ``_Value.add``."""
+        """A ``+``/``-`` chain.  Operands over ``_ONE`` wait in ``terms`` for one
+        ``_sum``; one over another denominator flushes them, then ``_Value.add``."""
         value = self.term()
+        if self.tokens[self.idx][0] not in ("+", "-"):
+            return value
         terms = [(1, value.parts)]
         while (tok := self.tokens[self.idx])[0] in ("+", "-"):
             self.idx += 1
             rhs = self.term()
-            sign = 1 if tok[0] == "+" else -1
             if value.den is _ONE and rhs.den is _ONE:
-                terms.append((sign, rhs.parts))
-                continue
-            value = _sum(terms, value.den).add(rhs if sign > 0 else rhs.neg(), tok[2])
-            terms = [(1, value.parts)]
+                terms.append((1 if tok[0] == "+" else -1, rhs.parts))
+            else:
+                value = _sum(terms, value.den).add(rhs if tok[0] == "+" else rhs.neg(), tok[2])
+                terms = [(1, value.parts)]
         return _sum(terms, value.den)
 
     def term(self) -> _Value:
@@ -259,6 +259,7 @@ class _Parser:
             rhs = self.factor()
             if c := rhs.constant():
                 a, b = (a * c[0], b * c[1]) if tok[0] == "*" else (a * c[1], b * c[0])
+                a, b = a // (g := gcd(a, b)), b // g  # so a cancelling chain stays small
             elif tok[0] == "*":
                 value = rhs if value is None else value.mul(rhs, tok[2])
             else:
@@ -385,16 +386,16 @@ def _poly_terms_latex(row) -> str:
 
 
 def poly_latex(p: Polynomial) -> str:
-    """LaTeX with the rational content g/den (coprime) factored out of a primitive part."""
+    """LaTeX with the rational content factored out of a primitive part."""
     if p.is_zero():
         return "0"
-    g = gcd(*p._num) if p._num[-1] > 0 else -gcd(*p._num)
-    inner = _poly_terms_latex([c // g for c in p._num])
-    if g == p._den:
+    content, prim = p.rational_content()
+    inner = _poly_terms_latex(prim._num)
+    if content == 1:
         return inner
-    if g == -p._den:
+    if content == -1:
         return f"-\\left({inner}\\right)"
-    return f"{_ratio_latex(g, p._den)} \\left({inner}\\right)"
+    return f"{_ratio_latex(content.numerator, content.denominator)} \\left({inner}\\right)"
 
 
 def to_latex(value) -> str:
