@@ -97,23 +97,22 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _certificate_report(red, fmt):
+    """The multiplier and certificate of the reduction ``red``: their lines
+    and their structured fields."""
+    lines = [f"multiplier = {_render(red.multiplier, fmt)}"]
+    lines += [f"u{i} = {_render(u, fmt)}" for i, u in enumerate(red.certificate)]
+    return lines, {"multiplier": _body(red.multiplier),
+                   "certificate": [_body(u) for u in red.certificate]}
+
+
 def _cmd_reduce(args) -> int:
     op = parse_operator(args.operator)
     p = parse_polynomial(args.poly)
     red = polynomial_reduce(p, op)
-    fmt = args.format
-    lines = [
-        f"remainder = {_render(red.remainder, fmt)}",
-        f"multiplier = {_render(red.multiplier, fmt)}",
-    ]
-    lines += [f"u{i} = {_render(u, fmt)}" for i, u in enumerate(red.certificate)]
-    structured = {
-        "command": "reduce",
-        "remainder": _body(red.remainder),
-        "multiplier": _body(red.multiplier),
-        "certificate": [_body(u) for u in red.certificate],
-    }
-    _emit(args, lines, structured)
+    lines, fields = _certificate_report(red, args.format)
+    _emit(args, [f"remainder = {_render(red.remainder, args.format)}", *lines],
+          {"command": "reduce", "remainder": _body(red.remainder), **fields})
     return 0
 
 
@@ -124,16 +123,15 @@ def _cmd_rational_reduce(args) -> int:
     rr = rational_reduce(p, op, factor, args.side, args.order,
                          auto_grow=args.auto_grow)
     fmt = args.format
+    cert, fields = _certificate_report(rr.reduction, fmt)
     lines = [
         f"side = {rr.side}",
         f"order = {rr.denom_spec.order}",
         f"remainder_numer = {_render(rr.remainder_numer, fmt)}",
         f"denominator = {_render(rr.denominator, fmt)}",
         f"derived_operator = {_render(rr.derived_operator, fmt)}",
-        f"multiplier = {_render(rr.reduction.multiplier, fmt)}",
+        *cert,
     ]
-    lines += [f"u{i} = {_render(u, fmt)}"
-              for i, u in enumerate(rr.reduction.certificate)]
     if rr.denom_spec.order != args.order:
         lines.append(f"note = order grew from {args.order}")
     structured = {
@@ -144,8 +142,7 @@ def _cmd_rational_reduce(args) -> int:
         "remainder_numer": _body(rr.remainder_numer),
         "denominator": _body(rr.denominator),
         "derived_operator": _body(rr.derived_operator),
-        "multiplier": _body(rr.reduction.multiplier),
-        "certificate": [_body(u) for u in rr.reduction.certificate],
+        **fields,
     }
     _emit(args, lines, structured)
     return 0
@@ -180,23 +177,16 @@ def _cmd_verify(args) -> int:
             f"target = {target}",
             f"abs_error = {report['abs_error']}",
             f"tolerance = {args.tol}",
-            f"status = {'PASS' if ok else 'FAIL'}",
         ]
-        structured = {
-            "command": "verify",
-            "mode": "numeric",
-            "label": fix.label,
+        fields = {
             "value": value,
             "target": target,
             "abs_error": str(report["abs_error"]),
             "tolerance": args.tol,
             "terms": report["terms"],
             "precision_bits": report["precision_bits"],
-            "ok": ok,
         }
-        _emit(args, lines, structured)
-        return 0 if ok else 1
-    if args.mode == "congruence":
+    elif args.mode == "congruence":
         if not isinstance(fix, CongruenceFixture):
             raise ValueError("congruence mode needs a congruence fixture")
         primes = _parse_primes(args.primes)
@@ -207,47 +197,35 @@ def _cmd_verify(args) -> int:
             f"{'ok' if r['ok'] else 'FAIL'}"
             for r in reports
         ]
-        lines.append(f"status = {'PASS' if ok else 'FAIL'}")
-        structured = {
-            "command": "verify",
-            "mode": "congruence",
-            "label": fix.label,
-            "reports": reports,
-            "ok": ok,
+        fields = {"reports": reports}
+    else:  # exact: replay the recipe and check the telescoping identity
+        if fix.recipe is None:
+            raise ValueError("exact mode needs a fixture with reduction data")
+        seq = get_sequence(fix.sequence_key)
+        source = IdentityFixture(
+            sequence_key=fix.sequence_key,
+            numer=fix.recipe.source_numer,
+            denom=Polynomial([1]),
+            start_index=seq.start_index,
+            target_r0=Fraction(0),
+            target_r1=Fraction(0),
+            label="source",
+        )
+        rr = rederive(fix, source)
+        ok = verify_identity_exact(fix, source, rr, window_length=args.window)
+        lines = [
+            f"remainder_numer = {_render(rr.remainder_numer, fmt)}",
+            f"scalar = {fix.recipe.scalar}",
+            f"window = {args.window}",
+        ]
+        fields = {
+            "remainder_numer": _body(rr.remainder_numer),
+            "scalar": str(fix.recipe.scalar),
+            "window": args.window,
         }
-        _emit(args, lines, structured)
-        return 0 if ok else 1
-    # exact mode: replay the recipe and check the telescoping identity.
-    if fix.recipe is None:
-        raise ValueError("exact mode needs a fixture with reduction data")
-    seq = get_sequence(fix.sequence_key)
-    source = IdentityFixture(
-        sequence_key=fix.sequence_key,
-        numer=fix.recipe.source_numer,
-        denom=Polynomial([1]),
-        start_index=seq.start_index,
-        target_r0=Fraction(0),
-        target_r1=Fraction(0),
-        label="source",
-    )
-    rr = rederive(fix, source)
-    ok = verify_identity_exact(fix, source, rr, window_length=args.window)
-    lines = [
-        f"remainder_numer = {_render(rr.remainder_numer, fmt)}",
-        f"scalar = {fix.recipe.scalar}",
-        f"window = {args.window}",
-        f"status = {'PASS' if ok else 'FAIL'}",
-    ]
-    structured = {
-        "command": "verify",
-        "mode": "exact",
-        "label": fix.label,
-        "remainder_numer": _body(rr.remainder_numer),
-        "scalar": str(fix.recipe.scalar),
-        "window": args.window,
-        "ok": ok,
-    }
-    _emit(args, lines, structured)
+    lines.append(f"status = {'PASS' if ok else 'FAIL'}")
+    _emit(args, lines, {"command": "verify", "mode": args.mode, "label": fix.label,
+                        "ok": ok, **fields})
     return 0 if ok else 1
 
 

@@ -45,6 +45,15 @@ def parse_number(text: str, what: str = "integer", where: str = ""):
     return Fraction(match[1]) if what == "rational" else int(match[1])
 
 
+def numbered_lines(path):
+    """(line number, text) for each line of the UTF-8 file ``path`` that is
+    not blank once a '#' comment is cut off, the text stripped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if line := raw.split("#", 1)[0].strip():
+                yield lineno, line
+
+
 def parse_decimal(text: str) -> float:
     """A finite float >= 0 in ASCII digits, point and exponent optional, blanks
     around; float's "inf", "nan", signs and "_" raise ValueError."""
@@ -132,16 +141,15 @@ class _Value:
             mine = {k: v * other.den for k, v in mine.items()}
             theirs = {k: v * den for k, v in theirs.items()}
             den = den * other.den
-        return _sum([(1, mine), (1, theirs)], den)
+        total = _sum([(1, mine), (1, theirs)], den)
+        _check_degree(pos, lambda x, _: max(x), total)  # no operand bounds a sum over one den
+        return total
 
     def neg(self):
         return _Value({k: -v for k, v in self.parts.items()}, self.den)
 
     def mul(self, other, pos):
-        """The product; ``term`` scales by constants itself, ``pow`` starts from 1."""
-        c = self.constant()
-        if c:
-            return other.scaled(*c)
+        """The product; ``term`` scales by constants itself."""
         _check_degree(pos, lambda x, y: max(x) + max(y), self, other)
         parts = {}
         for i, a in self.parts.items():
@@ -171,9 +179,7 @@ class _Value:
             if e > _MAX_DEGREE:  # the bare n: the general checks' result, at less cost
                 raise ParseError("degree limit exceeded", pos)
             return _Value({0: _poly((0,) * e + (1,))})
-        if (max(self.degrees()) * e > _MAX_DEGREE
-                and max(self.degrees(True)) * e > _MAX_DEGREE):
-            raise ParseError("degree limit exceeded", pos)
+        _check_degree(pos, lambda x, _: max(x) * e, self)
         if e * max(x.bit_length() for v in (self.den, *self.parts.values())
                    for x in (v._den, *v._num)) > _MAX_BITS:
             raise ParseError("bit size limit exceeded", pos)
@@ -182,14 +188,18 @@ class _Value:
             if k * e > _MAX_SHIFT:
                 raise ParseError("shift power limit exceeded", pos)
             return _Value({k * e: v ** e}, self.den if self.den is _ONE else self.den ** e)
-        result = _Value({0: _ONE})
-        base = self
-        while e:
-            if e & 1:
-                result = result.mul(base, pos)
-            base = base.mul(base, pos) if e > 1 else base
+        if not e:
+            return _Value({0: _ONE})
+        # right to left: left to right would check other products, and
+        # the reduced degree of a power is not linear in its exponent
+        result, base = None, self
+        while True:
+            if e & 1:  # a copy first: squaring may reduce base in place
+                result = result.mul(base, pos) if result else _Value(base.parts, base.den)
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base.mul(base, pos)
 
 
 def _sum(terms, den) -> _Value:
@@ -202,13 +212,13 @@ def _sum(terms, den) -> _Value:
     return _Value({k: v for k, t in rows.items() if (v := _signed_sum(t))}, den)
 
 
-def _check_degree(pos, degree, a, b) -> None:
+def _check_degree(pos, degree, a, b=None) -> None:
     """Raise "degree limit exceeded" at ``pos`` when ``degree``, a bound
     on the degree of what an operation builds from the (numerator,
-    denominator) degrees of its operands a and b, breaks the limit with
-    them as stored and again with them reduced."""
-    if (degree(a.degrees(), b.degrees()) > _MAX_DEGREE
-            and degree(a.degrees(True), b.degrees(True)) > _MAX_DEGREE):
+    denominator) degrees of its operands a and b (None for one value),
+    breaks the limit with them as stored and again with them reduced."""
+    if (degree(a.degrees(), b and b.degrees()) > _MAX_DEGREE
+            and degree(a.degrees(True), b and b.degrees(True)) > _MAX_DEGREE):
         raise ParseError("degree limit exceeded", pos)
 
 

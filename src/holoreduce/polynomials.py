@@ -376,6 +376,10 @@ def _root_bound(ints) -> int:
     return 2 * bound
 
 
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
 def integer_roots(p: Polynomial) -> set:
     """Exact set of integer roots of a nonzero polynomial: the roots of its
     squarefree part modulo the least prime q at which all are simple, lifted
@@ -388,7 +392,7 @@ def integer_roots(p: Polynomial) -> set:
     row = p.exact_div(poly_gcd(p, slope)).rational_content()[1]._num
     slope = [i * c for i, c in enumerate(row)][1:]
     for q in count(2):
-        if row[-1] % q and all(q % f for f in range(2, isqrt(q) + 1)):
+        if row[-1] % q and is_prime(q):
             low = [c % q for c in row]
             residues = [r for r in range(q) if not _horner(low, r) % q]
             if all(_horner(slope, r) % q for r in residues):

@@ -14,7 +14,6 @@ with T given by the telescoping certificate against G(n) = F(n)/SP(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 
 from .errors import (
@@ -70,17 +69,15 @@ def sp_expand(spec: ShiftProductSpec) -> Polynomial:
 
 @dataclass(frozen=True)
 class RationalReductionResult:
-    """Outcome of a rational reduction: remainder over a shift product."""
+    """Outcome of a rational reduction: remainder over a shift product,
+    with ``denominator`` the expansion of ``denom_spec``."""
 
     remainder_numer: Polynomial
     denom_spec: ShiftProductSpec
     derived_operator: ShiftOperator
     reduction: ReductionResult
     side: str
-
-    @cached_property
-    def denominator(self) -> Polynomial:
-        return sp_expand(self.denom_spec)
+    denominator: Polynomial
 
 
 def polynomial_reduce(p: Polynomial, op: ShiftOperator) -> ReductionResult:
@@ -219,10 +216,10 @@ def rational_reduce(
 
 
 def _rational_reduce_once(p, op, factor, side, i_order):
-    build = build_L1_lower if side == "lower" else build_L1_upper
-    derived = build(op, factor, i_order)
     spec = _side_spec(op, factor, side, i_order)
-    red = polynomial_reduce(p * sp_expand(spec), derived)
+    derived = _build_L1(op, spec)
+    sp = sp_expand(spec)
+    red = polynomial_reduce(p * sp, derived)
     prof = derived.profile
     if prof.degenerated and red.remainder.degree >= prof.deg_l:
         raise IrreducibleAtThisI(
@@ -235,6 +232,7 @@ def _rational_reduce_once(p, op, factor, side, i_order):
         derived_operator=derived,
         reduction=red,
         side=side,
+        denominator=sp,
     )
 
 

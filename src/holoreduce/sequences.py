@@ -16,7 +16,7 @@ from .errors import (
     InsufficientTerms,
     SingularLeadingCoefficient,
 )
-from .exprio import parse_number
+from .exprio import numbered_lines, parse_number
 from .operators import ShiftOperator
 from .polynomials import Polynomial, _exact, _horner, integer_rows, integer_values
 
@@ -502,13 +502,9 @@ def guess_annihilator(terms, start_index: int, max_order: int, max_deg: int):
 def load_terms(path) -> list:
     """Read a term list: one rational per line, '#' starts a comment."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                values.append(parse_number(line, "rational"))
-            except (ValueError, ZeroDivisionError) as err:
-                raise ValueError(f"{path}:{lineno}: bad term {line!r}") from err
+    for lineno, line in numbered_lines(path):
+        try:
+            values.append(parse_number(line, "rational"))
+        except (ValueError, ZeroDivisionError) as err:
+            raise ValueError(f"{path}:{lineno}: bad term {line!r}") from err
     return values

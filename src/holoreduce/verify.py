@@ -13,7 +13,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, isqrt, prod
+from math import ceil, gcd, prod
 
 from .errors import (
     DomainViolation,
@@ -22,7 +22,7 @@ from .errors import (
     PrecisionLoss,
     PrimeFilterViolation,
 )
-from .exprio import parse_number, parse_polynomial
+from .exprio import numbered_lines, parse_number, parse_polynomial
 from .operators import ShiftOperator
 from .polynomials import (
     Polynomial,
@@ -30,6 +30,7 @@ from .polynomials import (
     _taylor_shift,
     integer_roots,
     integer_rows,
+    is_prime,
     integer_values,
 )
 from .reduction import RationalReductionResult, rational_reduce
@@ -119,15 +120,11 @@ def _parse_target(text: str):
 def load_fixture(path):
     """Read a key = value fixture file; '#' starts a comment."""
     fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            fields[key.strip()] = val.strip()
+    for lineno, line in numbered_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        fields[key.strip()] = val.strip()
 
     recipe = None
     if "source_numer" in fields:
@@ -454,10 +451,6 @@ def numeric_series_check(fix: IdentityFixture, n_terms: int,
             "precision_bits": bits,
             "accel": accel,
         }
-
-
-def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _residue(q: Fraction, modulus: int) -> int:

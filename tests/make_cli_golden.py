@@ -274,6 +274,9 @@ def cases() -> list:
             ("classify", "--operator", "1/((n+1)^600)/((n+1)^600) - S", *f),
             ("reduce", "--operator", "S - 1", "--poly",
              "n^600/n^600 + (n+1)^300/(n+1)^300", *f),
+            # and at a sum over one shared denominator that no factor cancels
+            ("classify", "--operator",
+             "(n^301 + S*(n+1))/n^300*n^300 + (n+2)/n^300", *f),
         ]
     return [list(argv) for argv in out]
 

@@ -285,6 +285,9 @@ class TestLimits:
         # the position of its + or -
         (parse_polynomial, "1/n^400 + 1/(n+1)^400", 8),
         (parse_rational_function, "n - 1/n^300 - 1/(n+1)^301", 12),
+        # and one over a shared denominator that no factor of the sum
+        # cancels: the S^0 numerator n^601 + n + 2 is prime to n^300
+        (parse_operator, "(n^301 + S*(n+1))/n^300*n^300 + (n+2)/n^300", 30),
     ])
     def test_quotient_and_sum_over_limit(self, parse, text, position):
         with pytest.raises(ParseError) as err:
@@ -560,7 +563,12 @@ class _ReferenceValue:
         parts = dict(mine)
         for k, v in theirs.items():
             parts[k] = parts[k] + v if k in parts else v
-        return _ReferenceValue({k: v for k, v in parts.items() if v}, den)
+        total = _ReferenceValue({k: v for k, v in parts.items() if v}, den)
+        # over one den the sum's degree has no bound from its operands'
+        if (max(total.degrees()) > _MAX_DEGREE
+                and max(total.degrees(True)) > _MAX_DEGREE):
+            raise ParseError("degree limit exceeded", pos)
+        return total
 
     def neg(self):
         return _ReferenceValue({k: -v for k, v in self.parts.items()}, self.den)
@@ -786,7 +794,13 @@ class TestAgainstReference:
         "1/(n^300)/(n^301)", "(n^300+1)/(n^300+1)*n^400", "n^600/n^600",
         "1/n^400 + 1/(n+1)^400", "(n^2*S)^513", "(2*S)^513", "n^4097",
         "(" * 129 + "n" + ")" * 129, "S^-1", "n^-1", "1/S", "1/0", "",
-        "3/4*n^2 - 1/(-5)*n", "(n+1)/2/(-3)*S"])
+        "3/4*n^2 - 1/(-5)*n", "(n+1)/2/(-3)*S",
+        "(n^301 + S*(n+1))/n^300*n^300 + (n+2)/n^300",
+        # powers of several S-powers, up to the shift limit and past it
+        *(f"(S + 1)^{e}" for e in (0, 1, 2, 3, 255, 256, 257)),
+        *(f"(n*S - 2/n)^{e}" for e in (0, 1, 2, 3)),
+        "(S - S)^0", "(S - S)^1", "(S - S)^7",
+        "(S^64 + 1)^8", "(S^2 + 1)^256", "(S^64 + 1)^9", "(S^2 + 1)^257"])
     def test_edges(self, text):
         _assert_matches_reference(text)
 

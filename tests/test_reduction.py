@@ -265,6 +265,20 @@ class TestRationalReduce:
             rational_reduce(3 * N + 1, STUCK_OPERATOR, N + 1, "lower", 2,
                             auto_grow=True)
 
+    @pytest.mark.parametrize("side, factor", [("lower", (N + 1) ** 2),
+                                              ("upper", (N + 2) ** 2)])
+    @pytest.mark.parametrize("order, auto_grow", [(2, False), (3, False), (4, False),
+                                                  (2, True)])
+    def test_one_shift_product_per_reduction(self, side, factor, order, auto_grow):
+        # the denominator is the spec's one expansion, and the derived
+        # operator the public builder's
+        rr = rational_reduce(3 * N + 1, DOMB_NEG32N_OPERATOR, factor, side, order,
+                             auto_grow=auto_grow)
+        build = build_L1_lower if side == "lower" else build_L1_upper
+        assert rr.denominator == sp_expand(rr.denom_spec)
+        assert rr.derived_operator == build(DOMB_NEG32N_OPERATOR, factor,
+                                            rr.denom_spec.order)
+
     def test_bad_side(self):
         with pytest.raises(ValueError):
             rational_reduce(N, DOMB_16N_OPERATOR, N + 1, "sideways", 2)

@@ -42,7 +42,7 @@ from holoreduce.errors import (
 )
 from holoreduce.polynomials import _horner, integer_roots, integer_rows
 from holoreduce.reduction import ReductionResult, ShiftProductSpec
-from holoreduce.sequences import DOMB_16N_OPERATOR, DOMB_NEG32N_OPERATOR, catalog
+from holoreduce.sequences import DOMB_16N_OPERATOR, DOMB_NEG32N_OPERATOR, catalog, load_terms
 from holoreduce.verify import (
     _SIGMA,
     _parse_target,
@@ -837,6 +837,20 @@ class TestVanishingDenominator:
             verify_congruence(fix, [7])
 
 
+def test_input_files_number_lines_alike(tmp_path):
+    # comments and blank lines count in the line number of an error
+    layout = "# header\n\n   # indented\n{good}\n  \n{good} # trailing\n{bad}\n"
+    fixture_path, terms_path = tmp_path / "f.fixture", tmp_path / "terms.txt"
+    fixture_path.write_text(layout.format(good="label = x", bad="no equals sign"))
+    terms_path.write_text(layout.format(good="1", bad="x"))
+    with pytest.raises(ValueError) as fixture_err:
+        load_fixture(str(fixture_path))
+    with pytest.raises(ValueError) as terms_err:
+        load_terms(terms_path)
+    assert str(fixture_err.value) == f"{fixture_path}:7: expected key = value"
+    assert str(terms_err.value) == f"{terms_path}:7: bad term 'x'"
+
+
 def test_load_fixture_nesting_limit(tmp_path):
     path = tmp_path / "deep.fixture"
     for depth, ok in ((128, True), (129, False)):
@@ -1028,9 +1042,28 @@ _CERTIFICATE_SEQUENCES = st.one_of(
 )
 
 
+def _sequence_key(seq):
+    """What fixes the values of ``seq``: its operator, start, initial
+    values, oracle and overrides."""
+    return (seq.operator, seq.start_index, seq._initial, seq.oracle,
+            tuple(sorted(seq.overrides.items())))
+
+
+_EXACT_SUMS = {}
+
+
 def _exact_sum(fix, a, b):
+    """sum_{n=a}^{b} numer/denom * F(n) for the fixture's series, added up
+    term by term once per sequence, numer, denom and range; the sum to
+    b - 1, which average1 reads next, is kept on the way."""
     seq = _resolve(fix.sequence_key)
-    return sum(seq.series_terms(fix.numer, fix.denom, a, b), Fraction(0))
+    key = (_sequence_key(seq), fix.numer, fix.denom, a)
+    if (*key, b) not in _EXACT_SUMS:
+        total = before = Fraction(0)
+        for term in seq.series_terms(fix.numer, fix.denom, a, b):
+            before, total = total, total + term
+        _EXACT_SUMS[(*key, b)], _EXACT_SUMS[(*key, b - 1)] = total, before
+    return _EXACT_SUMS[(*key, b)]
 
 
 def _rounded(q, bits):
@@ -1046,10 +1079,8 @@ _MAGNITUDES = {}
 
 def _magnitudes(seq, last):
     """|F(t)| as 53-bit mpf for t = start..last, computed once per sequence
-    (its operator, start, initial values, oracle and overrides) and last
-    index."""
-    key = (seq.operator, seq.start_index, seq._initial, seq.oracle,
-           tuple(sorted(seq.overrides.items())), last)
+    and last index."""
+    key = (_sequence_key(seq), last)
     if key not in _MAGNITUDES:
         with mpmath.workprec(53):
             _MAGNITUDES[key] = [abs(_to_mpf(v))
@@ -1188,12 +1219,10 @@ def _stepper_error_bound(fix, n_terms, accel, bits):
 def _assert_within_stepper_bound(report, fix, n_terms, accel, bits):
     """report["value"] lies within _stepper_error_bound of the exact
     partial sum (compared as rationals), and abs_error is |value - target|."""
-    seq = _resolve(fix.sequence_key)
     last = fix.start_index + n_terms - 1
-    s = seq.partial_sum(fix.numer, fix.denom, fix.start_index, last)
+    s = _exact_sum(fix, fix.start_index, last)
     if accel == "average1":
-        s = (s + seq.partial_sum(fix.numer, fix.denom, fix.start_index,
-                                 last - 1)) / 2
+        s = (s + _exact_sum(fix, fix.start_index, last - 1)) / 2
     value = Fraction(*libmp.to_rational(report["value"]._mpf_))
     bound = _stepper_error_bound(fix, n_terms, accel, bits)
     assert abs(value - s) <= Fraction(*libmp.to_rational(bound._mpf_)), \
