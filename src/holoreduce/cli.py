@@ -313,9 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # exact integers are read and printed past Python's 4300 digits
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (IrreducibleAtThisI, PrecisionLoss) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -324,6 +326,9 @@ def main(argv=None) -> int:
             ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import gcd, isfinite
 
 from .errors import NegativeShiftPower, ParseError, ZeroOperator
-from .polynomials import Polynomial, RationalFunction, _poly, _reduced, _signed_sum, poly_gcd
+from .polynomials import (Polynomial, RationalFunction, _binary_power, _poly, _reduced,
+                          _signed_sum, poly_gcd)
 from .operators import ShiftOperator
 
 SCHEMA = "holoreduce-v1"
@@ -149,13 +150,18 @@ class _Value:
         return _Value({k: -v for k, v in self.parts.items()}, self.den)
 
     def mul(self, other, pos):
-        """The product; ``term`` scales by constants itself."""
+        """The product; ``term`` scales by constants itself.  Some pair of
+        S-powers breaks the shift limit exactly when the two largest do."""
         _check_degree(pos, lambda x, y: max(x) + max(y), self, other)
+        if max(self.parts, default=0) + max(other.parts, default=0) > _MAX_SHIFT:
+            raise ParseError("shift power limit exceeded", pos)
+        return self._times(other)
+
+    def _times(self, other):
+        """The product, with no limit checked."""
         parts = {}
         for i, a in self.parts.items():
             for j, b in other.parts.items():
-                if i + j > _MAX_SHIFT:
-                    raise ParseError("shift power limit exceeded", pos)
                 parts[i + j] = parts[i + j] + a * b if i + j in parts else a * b
         return _Value({k: v for k, v in parts.items() if v}, self.den * other.den)
 
@@ -179,27 +185,16 @@ class _Value:
             if e > _MAX_DEGREE:  # the bare n: the general checks' result, at less cost
                 raise ParseError("degree limit exceeded", pos)
             return _Value({0: _poly((0,) * e + (1,))})
-        _check_degree(pos, lambda x, _: max(x) * e, self)
+        _check_degree(pos, lambda x, _: max(x) * e, self)  # each limit once, from the base
         if e * max(x.bit_length() for v in (self.den, *self.parts.values())
                    for x in (v._den, *v._num)) > _MAX_BITS:
             raise ParseError("bit size limit exceeded", pos)
+        if max(self.parts, default=0) * e > _MAX_SHIFT:
+            raise ParseError("shift power limit exceeded", pos)
         if len(self.parts) == 1:  # one S-power: no cross terms
             [(k, v)] = self.parts.items()
-            if k * e > _MAX_SHIFT:
-                raise ParseError("shift power limit exceeded", pos)
             return _Value({k * e: v ** e}, self.den if self.den is _ONE else self.den ** e)
-        if not e:
-            return _Value({0: _ONE})
-        # right to left: left to right would check other products, and
-        # the reduced degree of a power is not linear in its exponent
-        result, base = None, self
-        while True:
-            if e & 1:  # a copy first: squaring may reduce base in place
-                result = result.mul(base, pos) if result else _Value(base.parts, base.den)
-            e >>= 1
-            if not e:
-                return result
-            base = base.mul(base, pos)
+        return _binary_power(self, e, _Value._times) if e else _Value({0: _ONE})
 
 
 def _sum(terms, den) -> _Value:

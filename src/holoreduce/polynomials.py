@@ -60,6 +60,16 @@ def _signed_sum(terms) -> "Polynomial":
     return _reduced(out, den)
 
 
+def _binary_power(x, k: int, times):
+    """x^k for k >= 1, squared left to right by the product ``times``."""
+    result = x
+    for bit in bin(k)[3:]:
+        result = times(result, result)
+        if bit == "1":
+            result = times(result, x)
+    return result
+
+
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -201,12 +211,7 @@ class Polynomial:
         num = self._num
         if num.count(0) == len(num) - 1:  # a monomial c*n^d: (c^k)*n^(dk)
             return _poly((0,) * ((len(num) - 1) * k) + (num[-1] ** k,), self._den ** k)
-        result = self
-        for bit in bin(k)[3:]:  # left to right: no product with 1, no spare square
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result if k else _poly((1,))
+        return _binary_power(self, k, Polynomial.__mul__) if k else _poly((1,))
 
     def __divmod__(self, other):
         """Euclidean division; ``other`` must be nonzero.  Pseudo-division on

@@ -126,29 +126,36 @@ def load_fixture(path):
         key, _, val = line.partition("=")
         fields[key.strip()] = val.strip()
 
+    def field(key):
+        if key not in fields:
+            raise ValueError(f"{path}: missing field '{key}'")
+        return fields[key]
+
     recipe = None
     if "source_numer" in fields:
         recipe = ReductionRecipe(
-            source_numer=parse_polynomial(fields["source_numer"]),
-            factor=parse_polynomial(fields["factor"]),
-            side=fields["side"],
-            order=parse_number(fields["order"], where=" for order"),
-            scalar=parse_number(fields["scalar"], "rational", " for scalar"),
+            source_numer=parse_polynomial(field("source_numer")),
+            factor=parse_polynomial(field("factor")),
+            side=field("side"),
+            order=parse_number(field("order"), where=" for order"),
+            scalar=parse_number(field("scalar"), "rational", " for scalar"),
         )
     common = dict(
-        sequence_key=fields["sequence"],
-        numer=parse_polynomial(fields["numer"]),
+        sequence_key=field("sequence"),
+        numer=parse_polynomial(field("numer")),
         denom=parse_polynomial(fields.get("denom", "1")),
         start_index=parse_number(fields.get("start", "0"), where=" for start"),
         label=fields.get("label", ""),
         recipe=recipe,
     )
-    target = _parse_target(fields["target"])
+    target = _parse_target(field("target"))
     if target[0] == "congruence":
         residue = (1, 3)
         if "primes" in fields:
             lhs, _, mod = fields["primes"].partition("mod")
             residue = tuple(parse_number(v, where=" in primes") for v in (lhs, mod))
+            if residue[1] < 1:
+                raise ValueError(f"{path}: modulus {residue[1]} in primes is below 1")
         return CongruenceFixture(target=target[1], prime_residue=residue, **common)
     return IdentityFixture(target_r0=target[1], target_r1=target[2], **common)
 

@@ -278,6 +278,16 @@ def cases() -> list:
             ("classify", "--operator",
              "(n^301 + S*(n+1))/n^300*n^300 + (n+2)/n^300", *f),
         ]
+    for fmt in FORMATS:
+        f = ("--format", fmt)
+        out += [
+            # integers past Python's 4300-digit conversion limit
+            ("reduce", "--operator", "S - 1", "--poly", "(2^4096)^4", *f),
+            ("classify", "--operator", "(2^4096)^4*S - 1", *f),
+        ]
+    for name in BAD_FIXTURES:
+        # fixtures that lack a field or have a modulus below 1 in primes
+        out.append(("verify", "--fixture", f"@golden/{name}", "--mode", "congruence"))
     return [list(argv) for argv in out]
 
 
@@ -309,7 +319,9 @@ def run(argv) -> dict:
             del os.environ["COLUMNS"]
         else:
             os.environ["COLUMNS"] = columns
-    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    # a path to the golden directory is written as in argv, for any checkout
+    stderr = err.getvalue().replace(str(GOLDEN_DIR), "@golden")
+    return {"exit": code, "stdout": out.getvalue(), "stderr": stderr}
 
 
 # fixtures written with Arabic-Indic digits where the grammar has none
@@ -327,6 +339,22 @@ UNICODE_FIXTURES = {
         "order = \u0662\nscalar = \u0661/\u0669\n"),
 }
 
+# fixtures that fail to load: a missing field, in the recipe too, and a
+# modulus of primes below 1
+BAD_FIXTURES = {
+    "missing_numer.fixture": "sequence = domb_over_16n\ntarget = 3/2 mod p^2\n",
+    "missing_factor.fixture": (
+        "sequence = domb_over_neg32n\nnumer = 3*n + 1\ntarget = 0 + 2/pi\n"
+        "source_numer = 3*n + 1\nside = upper\norder = 2\nscalar = 1\n"),
+    "missing_target.fixture": "sequence = domb_over_16n\nnumer = (n+1)^2\n",
+    "primes_mod_zero.fixture": (
+        "sequence = domb_over_16n\nnumer = (n+1)^2\ndenom = n*(n-1)\nstart = 2\n"
+        "primes = 1 mod 0\ntarget = 3/2 mod p^2\n"),
+    "primes_mod_negative.fixture": (
+        "sequence = domb_over_16n\nnumer = (n+1)^2\ndenom = n*(n-1)\nstart = 2\n"
+        "primes = 1 mod -3\ntarget = 3/2 mod p^2\n"),
+}
+
 
 def write_input_files() -> None:
     files = {"franel_terms.txt": [franel_number(k) for k in range(30)],
@@ -338,7 +366,7 @@ def write_input_files() -> None:
                                  for k in range(30)]}
     for name, terms in files.items():
         (GOLDEN_DIR / name).write_text("".join(f"{t}\n" for t in terms))
-    for name, text in UNICODE_FIXTURES.items():
+    for name, text in {**UNICODE_FIXTURES, **BAD_FIXTURES}.items():
         (GOLDEN_DIR / name).write_text(text, encoding="utf-8")
 
 

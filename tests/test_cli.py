@@ -179,6 +179,18 @@ class TestGuess:
         assert out == ""
         assert err.startswith("error: empty search")
 
+    def test_terms_past_4300_digits(self, capsys, tmp_path):
+        # 2^k * 10^4300, past Python's default int-string limit, which the
+        # command lifts for its own duration only
+        path = tmp_path / "big.txt"
+        path.write_text("".join(f"{2 ** k}{'0' * 4300}\n" for k in range(30)))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        code, out, _ = run(capsys, "guess", "--terms", str(path),
+                           "--start", "0", "--max-order", "1", "--max-deg", "0")
+        assert code == 0
+        assert parse_operator(out.strip()) == parse_operator("-2 + S")
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
     def test_insufficient_terms_exits_2(self, capsys, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("1\n2\n3\n")

@@ -324,6 +324,17 @@ class TestLimits:
             parse(text)
         assert str(err.value) == f"bit size limit exceeded at position {position}"
 
+    @pytest.mark.parametrize("k", [40, 55])
+    def test_power_of_several_shift_powers_checked_once(self, k):
+        # the limits are decided once, from the base, whose reduced degree
+        # is k (6k <= 600); no product of the squaring is checked, so the
+        # parse fails only at the S
+        text = f"(1/n^{k} + S/(n+1)^{k} + S^2/(n+2)^{k})^6"
+        with pytest.raises(ParseError) as err:
+            parse_rational_function(text)
+        assert str(err.value) == "the shift symbol S is not allowed here at position 10"
+        assert err.value.position == 10
+
     def test_bit_size_at_the_limit(self):
         # 255 * 4097 bits is under 2^20
         assert parse_polynomial("(2^4096)^255") == 2 ** (4096 * 255)
@@ -600,24 +611,36 @@ class _ReferenceValue:
         scale = 1 / num.leading_coefficient
         return _ReferenceValue({k: v * scale for k, v in parts.items()}, self.den)
 
+    def times(self, other):
+        """The product, with no limit checked."""
+        parts = {}
+        for i, a in self.parts.items():
+            for j, b in other.parts.items():
+                ab = _reference_product(a, b)
+                parts[i + j] = parts[i + j] + ab if i + j in parts else ab
+        return _ReferenceValue({k: v for k, v in parts.items() if v},
+                               _reference_product(self.den, other.den))
+
     def pow(self, e, pos):
+        """Every limit is decided once, from the base; the products of the
+        squaring are not checked."""
         if e > _MAX_EXPONENT:
             raise ParseError("exponent too large", pos)
         if (max(self.degrees()) * e > _MAX_DEGREE
                 and max(self.degrees(True)) * e > _MAX_DEGREE):
             raise ParseError("degree limit exceeded", pos)
+        if max(self.parts, default=0) * e > _MAX_SHIFT:
+            raise ParseError("shift power limit exceeded", pos)
         if len(self.parts) == 1:
             [(k, v)] = self.parts.items()
-            if k * e > _MAX_SHIFT:
-                raise ParseError("shift power limit exceeded", pos)
             return _ReferenceValue({k * e: v ** e},
                                    self.den if self.den is _REF_ONE else self.den ** e)
         result = _ReferenceValue({0: _REF_ONE})
         base = self
         while e:
             if e & 1:
-                result = result.mul(base, pos)
-            base = base.mul(base, pos) if e > 1 else base
+                result = result.times(base)
+            base = base.times(base) if e > 1 else base
             e >>= 1
         return result
 
@@ -800,7 +823,13 @@ class TestAgainstReference:
         *(f"(S + 1)^{e}" for e in (0, 1, 2, 3, 255, 256, 257)),
         *(f"(n*S - 2/n)^{e}" for e in (0, 1, 2, 3)),
         "(S - S)^0", "(S - S)^1", "(S - S)^7",
-        "(S^64 + 1)^8", "(S^2 + 1)^256", "(S^64 + 1)^9", "(S^2 + 1)^257"])
+        "(S^64 + 1)^8", "(S^2 + 1)^256", "(S^64 + 1)^9", "(S^2 + 1)^257",
+        # powers of several S-powers over a shared denominator, whose
+        # products are not checked, and a later product that cancels it
+        *(f"(S/n + 1/(n+1))^{e}*n^{e}*(n+1)^{e}" for e in range(5)),
+        "(1/n^2 + S/(n+1)^2 + S^2/(n+2)^2)^5*(n*(n+1)*(n+2))^10",
+        # the shift limit of a product, at and past it
+        "(S^256 + 1)*(S^256 + n)", "(S^256 + 1)*(S^257 + 1)"])
     def test_edges(self, text):
         _assert_matches_reference(text)
 

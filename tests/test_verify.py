@@ -431,6 +431,24 @@ class TestFixtureFiles:
             load_fixture(str(path))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("key, value, message", [
+        *((k, None, f"missing field '{k}'") for k in
+          ("sequence", "numer", "target", "factor", "side", "order", "scalar")),
+        ("primes", "1 mod 0", "modulus 0 in primes is below 1"),
+        ("primes", "1 mod -3", "modulus -3 in primes is below 1"),
+    ])
+    def test_fixture_errors_name_their_cause(self, tmp_path, key, value, message):
+        fields = {"sequence": "domb_over_16n", "numer": "(n+1)^2",
+                  "denom": "n*(n-1)", "start": "2", "primes": "1 mod 3",
+                  "target": "3/2 mod p^2", "source_numer": "3*n + 1",
+                  "factor": "n + 1", "side": "lower", "order": "2", "scalar": "2"}
+        fields[key] = value
+        path = tmp_path / "f.fixture"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items() if v))
+        with pytest.raises(ValueError) as err:
+            load_fixture(str(path))
+        assert str(err.value) == f"{path}: {message}"
+
     def test_domb_neg32_lower_sq_metadata(self):
         fix = fixture("domb_neg32_lower_sq")
         assert fix.start_index == 2
