@@ -120,8 +120,7 @@ def _cmd_rational_reduce(args) -> int:
     op = parse_operator(args.operator)
     p = parse_polynomial(args.poly)
     factor = parse_polynomial(args.factor)
-    rr = rational_reduce(p, op, factor, args.side, args.order,
-                         auto_grow=args.auto_grow)
+    rr = rational_reduce(p, op, factor, args.side, args.order)
     fmt = args.format
     cert, fields = _certificate_report(rr.reduction, fmt)
     lines = [
@@ -132,8 +131,6 @@ def _cmd_rational_reduce(args) -> int:
         f"derived_operator = {_render(rr.derived_operator, fmt)}",
         *cert,
     ]
-    if rr.denom_spec.order != args.order:
-        lines.append(f"note = order grew from {args.order}")
     structured = {
         "command": "rational-reduce",
         "side": rr.side,
@@ -280,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", required=True)
     p.add_argument("--side", choices=("lower", "upper"), required=True)
     p.add_argument("--order", type=_int, required=True)
-    p.add_argument("--auto-grow", action="store_true", dest="auto_grow")
 
     p = add("guess", _cmd_guess, help="guess an annihilator from terms")
     p.add_argument("--terms", required=True)

@@ -48,7 +48,7 @@ class OrderTooSmall(HoloreduceError):
 
 
 class IrreducibleAtThisI(HoloreduceError):
-    """Rational reduction left a high-degree remainder; retry with larger I."""
+    """Rational reduction left a remainder not below deg L1 at the I asked."""
 
 
 # -- sequences ------------------------------------------------------------

@@ -17,7 +17,7 @@ from math import gcd, isfinite
 
 from .errors import NegativeShiftPower, ParseError, ZeroOperator
 from .polynomials import (Polynomial, RationalFunction, _binary_power, _poly, _reduced,
-                          _signed_sum, poly_gcd)
+                          _signed_sum, poly_gcd, wide_str)
 from .operators import ShiftOperator
 
 SCHEMA = "holoreduce-v1"
@@ -360,18 +360,18 @@ def to_text(value) -> str:
     if isinstance(value, (Polynomial, RationalFunction, ShiftOperator)):
         return value.text()
     if isinstance(value, (int, Fraction)):
-        a, b = value.numerator, value.denominator
-        return str(a) if b == 1 else f"{a}/{b}"
+        return Polynomial.constant(value).text()
     raise TypeError(f"cannot print {type(value).__name__}")
 
 
-def _ratio_latex(a: int, b: int) -> str:
+def _ratio_latex(a: int, b: int, digits) -> str:
     """a/b, in lowest terms with b > 0, as LaTeX."""
     sign = "-" if a < 0 else ""
-    return f"{sign}{abs(a)}" if b == 1 else f"{sign}\\frac{{{abs(a)}}}{{{b}}}"
+    mag = digits(abs(a))
+    return f"{sign}{mag}" if b == 1 else f"{sign}\\frac{{{mag}}}{{{digits(b)}}}"
 
 
-def _poly_terms_latex(row) -> str:
+def _poly_terms_latex(row, digits) -> str:
     """Ascending-power rendering of the coprime integers ``row``."""
     parts = []
     for k, c in enumerate(row):
@@ -379,10 +379,10 @@ def _poly_terms_latex(row) -> str:
             continue
         mag = abs(c)
         if k == 0:
-            body = str(mag)
+            body = digits(mag)
         else:
             var = "n" if k == 1 else (f"n^{k}" if k < 10 else f"n^{{{k}}}")
-            body = var if mag == 1 else f"{mag} {var}"
+            body = var if mag == 1 else f"{digits(mag)} {var}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -390,69 +390,75 @@ def _poly_terms_latex(row) -> str:
     return " ".join(parts)
 
 
-def poly_latex(p: Polynomial) -> str:
+def poly_latex(p: Polynomial, digits=str) -> str:
     """LaTeX with the rational content factored out of a primitive part."""
     if p.is_zero():
         return "0"
     content, prim = p.rational_content()
-    inner = _poly_terms_latex(prim._num)
+    inner = _poly_terms_latex(prim._num, digits)
     if content == 1:
         return inner
     if content == -1:
         return f"-\\left({inner}\\right)"
-    return f"{_ratio_latex(content.numerator, content.denominator)} \\left({inner}\\right)"
+    return f"{_ratio_latex(content.numerator, content.denominator, digits)} \\left({inner}\\right)"
 
 
-def to_latex(value) -> str:
-    if isinstance(value, Polynomial):
-        return poly_latex(value)
-    if isinstance(value, RationalFunction):
-        if value.is_polynomial():
-            return poly_latex(value.numer)
-        return f"\\frac{{{poly_latex(value.numer)}}}{{{poly_latex(value.denom)}}}"
-    if isinstance(value, ShiftOperator):
-        parts = []
-        for i, c in enumerate(value.coeffs):
-            if c.is_zero():
-                continue
-            body = poly_latex(c)
-            if i == 0:
-                parts.append(body)
-            else:
-                sigma = "\\sigma" if i == 1 else f"\\sigma^{{{i}}}"
-                parts.append(f"\\left({body}\\right){sigma}")
-        return " + ".join(parts)
-    if isinstance(value, (int, Fraction)):
-        return _ratio_latex(value.numerator, value.denominator)
+def to_latex(value, *, _digits=str) -> str:
+    """LaTeX of ``value``, with wide_str past Python's int-to-str digit limit."""
+    try:
+        if isinstance(value, Polynomial):
+            return poly_latex(value, _digits)
+        if isinstance(value, RationalFunction):
+            numer = poly_latex(value.numer, _digits)
+            return numer if value.is_polynomial() else \
+                f"\\frac{{{numer}}}{{{poly_latex(value.denom, _digits)}}}"
+        if isinstance(value, ShiftOperator):
+            parts = []
+            for i, c in enumerate(value.coeffs):
+                if c.is_zero():
+                    continue
+                body = poly_latex(c, _digits)
+                if i == 0:
+                    parts.append(body)
+                else:
+                    sigma = "\\sigma" if i == 1 else f"\\sigma^{{{i}}}"
+                    parts.append(f"\\left({body}\\right){sigma}")
+            return " + ".join(parts)
+        if isinstance(value, (int, Fraction)):
+            return _ratio_latex(value.numerator, value.denominator, _digits)
+    except ValueError:
+        return to_latex(value, _digits=wide_str)
     raise TypeError(f"cannot print {type(value).__name__}")
 
 
-def _ratio_body(a: int, b: int) -> dict:
+def _ratio_body(a: int, b: int, digits) -> dict:
     """a/b for b > 0, in lowest terms, as strings."""
     g = gcd(a, b)
-    return {"num": str(a // g), "den": str(b // g)}
+    return {"num": digits(a // g), "den": digits(b // g)}
 
 
-def _body(value) -> dict:
-    if isinstance(value, Polynomial):
-        return {
-            "kind": "polynomial",
-            "coefficients": [_ratio_body(c, value._den) for c in value._num],
-        }
-    if isinstance(value, RationalFunction):
-        return {
-            "kind": "rational_function",
-            "numer": _body(value.numer),
-            "denom": _body(value.denom),
-        }
-    if isinstance(value, ShiftOperator):
-        return {
-            "kind": "shift_operator",
-            "order": value.order,
-            "coefficients": [_body(c) for c in value.coeffs],
-        }
-    if isinstance(value, (int, Fraction)):
-        return {"kind": "rational", **_ratio_body(value.numerator, value.denominator)}
+def _body(value, digits=str) -> dict:
+    """Structured fields of ``value``, with wide_str past the int-to-str limit."""
+    try:
+        if isinstance(value, Polynomial):
+            return {"kind": "polynomial",
+                    "coefficients": [_ratio_body(c, value._den, digits) for c in value._num]}
+        if isinstance(value, RationalFunction):
+            return {
+                "kind": "rational_function",
+                "numer": _body(value.numer),
+                "denom": _body(value.denom),
+            }
+        if isinstance(value, ShiftOperator):
+            return {
+                "kind": "shift_operator",
+                "order": value.order,
+                "coefficients": [_body(c) for c in value.coeffs],
+            }
+        if isinstance(value, (int, Fraction)):
+            return {"kind": "rational", **_ratio_body(value.numerator, value.denominator, digits)}
+    except ValueError:
+        return _body(value, wide_str)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

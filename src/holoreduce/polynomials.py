@@ -9,6 +9,7 @@ values can be shared freely between threads.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -19,6 +20,11 @@ from .errors import BothZero, DivisionNotExact, ZeroPolynomial
 # Degree of the zero polynomial.  A dedicated sentinel (not -1) so that
 # degree laws like deg(a*b) = deg a + deg b stay exact.
 NEG_INF = float("-inf")
+
+
+def wide_str(x: int) -> str:
+    """str(x) for any int: Decimal has no int-to-str digit limit."""
+    return str(Decimal(x))
 
 
 def _exact(value):
@@ -282,24 +288,29 @@ class Polynomial:
     def __str__(self):
         return self.text()
 
-    def text(self) -> str:
-        """Canonical text form, re-parseable by the expression grammar."""
+    def text(self, *, _digits=str) -> str:
+        """Canonical text form, re-parseable by the expression grammar; with
+        wide_str past Python's int-to-str digit limit."""
         if not self._num:
             return "0"
         parts, den = [], self._den
-        for k in range(len(self._num) - 1, -1, -1):
-            c = self._num[k]
-            if not c:
-                continue
-            g = gcd(c, den)
-            body = f"{abs(c) // g}" if g == den else f"{abs(c) // g}/{den // g}"
-            if k:
-                var = "n" if k == 1 else f"n^{k}"
-                body = var if abs(c) == den else f"{body}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        try:
+            for k in range(len(self._num) - 1, -1, -1):
+                c = self._num[k]
+                if not c:
+                    continue
+                g = gcd(c, den)
+                body = _digits(abs(c) // g)
+                body = body if g == den else f"{body}/{_digits(den // g)}"
+                if k:
+                    var = "n" if k == 1 else f"n^{k}"
+                    body = var if abs(c) == den else f"{body}*{var}"
+                if not parts:
+                    parts.append(body if c > 0 else f"-{body}")
+                else:
+                    parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        except ValueError:
+            return self.text(_digits=wide_str)
         return " ".join(parts)
 
 

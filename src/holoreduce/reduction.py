@@ -183,39 +183,16 @@ def rational_reduce(
     factor: Polynomial,
     side: str,
     i_order: int,
-    auto_grow: bool = False,
 ) -> RationalReductionResult:
     """Reduce p(n)F(n) to remainder(n)/SP(n) * F(n) plus a telescoped part.
 
     ``side`` selects the factor's home: "lower" divides a_0 and the
     denominator runs backward; "upper" divides a_J and it runs forward.
     If the derived operator is degenerated and the remainder keeps
-    monomials at or above its degree, IrreducibleAtThisI is raised;
-    auto_grow retries i_order+1 .. i_order+8 before giving up.
+    monomials at or above its degree, IrreducibleAtThisI is raised.
     """
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    attempts = range(i_order, i_order + 9) if auto_grow else (i_order,)
-    last_err = None
-    for i_try in attempts:
-        try:
-            result = _rational_reduce_once(p, op, factor, side, i_try)
-            break
-        except IrreducibleAtThisI as err:
-            last_err = err
-    else:
-        raise last_err
-    base_prof = degree_profile(op)
-    if base_prof.strongly_nondegenerated:
-        bound = base_prof.deg_l + (op.order - 1) * int(factor.degree)
-        if not result.remainder_numer.degree < bound:
-            raise InternalInconsistency(
-                f"remainder degree {result.remainder_numer.degree} breaks the bound {bound}"
-            )
-    return result
-
-
-def _rational_reduce_once(p, op, factor, side, i_order):
     spec = _side_spec(op, factor, side, i_order)
     derived = _build_L1(op, spec)
     sp = sp_expand(spec)
@@ -226,6 +203,13 @@ def _rational_reduce_once(p, op, factor, side, i_order):
             f"remainder degree {red.remainder.degree} not below deg L1 = "
             f"{prof.deg_l} at I = {i_order}"
         )
+    base_prof = degree_profile(op)
+    if base_prof.strongly_nondegenerated:
+        bound = base_prof.deg_l + (op.order - 1) * int(factor.degree)
+        if not red.remainder.degree < bound:
+            raise InternalInconsistency(
+                f"remainder degree {red.remainder.degree} breaks the bound {bound}"
+            )
     return RationalReductionResult(
         remainder_numer=red.remainder,
         denom_spec=spec,

@@ -127,7 +127,7 @@ def cases() -> list:
     for op, poly, factor, side, order in RECIPES:
         base = ("rational-reduce", "--operator", op, "--poly", poly,
                 "--factor", factor, "--side", side, "--order", order)
-        out += [base, (*base, "--auto-grow")]
+        out.append(base)
     out += [
         # usage, parse and precondition errors
         ("classify", "--operator", "S +* 1"),
@@ -146,6 +146,9 @@ def cases() -> list:
          "--factor", "n", "--side", "lower", "--order", "2"),
         ("rational-reduce", "--operator", "1", "--poly", "3*n+1",
          "--factor", "1", "--side", "lower", "--order", "2"),
+        ("rational-reduce", "--operator", STUCK, "--poly", "3*n+1",
+         "--factor", "n+1", "--side", "lower", "--order", "2"),
+        # a larger order is asked for with --order; there is no retry option
         ("rational-reduce", "--operator", STUCK, "--poly", "3*n+1",
          "--factor", "n+1", "--side", "lower", "--order", "2", "--auto-grow"),
         ("sum", "--sequence", "domb", "--numer", "1", "--denom", "n-3",

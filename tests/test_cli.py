@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,7 +19,7 @@ from holoreduce import (
     parse_operator,
     parse_polynomial,
 )
-from holoreduce.cli import main
+from holoreduce.cli import build_parser, main
 from holoreduce.verify import precision_bits
 
 from conftest import N
@@ -144,9 +146,9 @@ class TestRationalReduce:
         stuck = "(2*n+2) - 2*S - (2*n+4)*S^2"
         code, _, err = run(capsys, "rational-reduce", "--operator", stuck,
                            "--poly", "3*n+1", "--factor", "n+1",
-                           "--side", "lower", "--order", "2", "--auto-grow")
+                           "--side", "lower", "--order", "2")
         assert code == 1
-        assert "I = 10" in err
+        assert err.endswith("at I = 2\n")
 
 
 class TestGuess:
@@ -466,3 +468,17 @@ def test_import_leaves_mpmath_out():
          "import sys, holoreduce.cli; print('mpmath' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout == "False\n"
+
+
+class TestReadme:
+    def test_every_long_option_documented(self):
+        # each subcommand's long options, --help included, appear in the README
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        parser = build_parser()
+        (commands,) = (a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        missing = [(name, option) for name, sub in commands.items()
+                   for action in sub._actions for option in action.option_strings
+                   if option.startswith("--")
+                   and not re.search(re.escape(option) + r"(?![\w-])", readme)]
+        assert missing == []

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -1107,6 +1108,40 @@ class TestPrintersAgainstReference:
             assert to_structured(value) == {"schema": "holoreduce-v1",
                                             **_reference_body(value)}
         assert to_text(p) == _reference_text(p)
+
+# integers of 4,933 digits, past Python's default int-to-str limit of 4,300
+_HUGE = 2 ** 16384
+
+
+class TestPrintersPastDigitLimit:
+    VALUES = [parse_polynomial("(2^4096)^4"), parse_polynomial("-(2^4096)^4*n/3 + 1"),
+              Polynomial([1, Fraction(-1, _HUGE)]), parse_operator("(2^4096)^4*S - 1"),
+              RationalFunction(N + 1, _HUGE * N - 1), Fraction(-7, _HUGE), _HUGE, -_HUGE]
+
+    @staticmethod
+    def printed(value):
+        out = [to_text(value), to_latex(value), to_structured(value),
+               print_value(value, "structured")]
+        if not isinstance(value, (int, Fraction)):
+            out += [str(value), repr(value)]
+        return out
+
+    def test_same_as_without_limit(self):
+        # the printers neither raise at the default limit nor change the
+        # process-wide limit
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            want = [self.printed(v) for v in self.VALUES]
+            digits = str(_HUGE)
+            sys.set_int_max_str_digits(4300)
+            got = [self.printed(v) for v in self.VALUES]
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == want
+        assert want[0][0] == digits and want[-1][0] == f"-{digits}"
+
 
 class TestNumberReaders:
     """Numbers outside the expression grammar follow its rule: ASCII digits."""

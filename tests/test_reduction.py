@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,17 @@ DERIVED_16N = ShiftOperator([
 
 # stays irreducible for every I in 2..10 (derived operator degenerated)
 STUCK_OPERATOR = ShiftOperator([2 * N + 2, Polynomial([-2]), -2 * N - 4])
+
+# (operator, p, factor, side, I): irreducible at I and at every larger I
+IRREDUCIBLE_CASES = [
+    (STUCK_OPERATOR, 3 * N + 1, N + 1, "lower", 2),
+    (ShiftOperator([-2 * N**2 + 3 * N - 2, 2 * N**2 - 3 * N + 3, Polynomial([-3])]),
+     Polynomial([1]), 2 * N**2 - 3 * N + 2, "lower", 2),
+    (ShiftOperator([Polynomial([-2]), 2 * N**2 + 3 * N, -2 * N**2 - 5 * N - 3]),
+     5 * N, 2 * N + 3, "upper", 2),
+    (ShiftOperator([Polynomial([3]), 2 * N**2 - 2, Polynomial([3]), -2 * N**2 - 4 * N]),
+     2 * N**2 + 5 * N - 4, -N**2 - 2 * N, "upper", 3),
+]
 
 
 class TestShiftProduct:
@@ -260,20 +272,48 @@ class TestRationalReduce:
         with pytest.raises(IrreducibleAtThisI):
             rational_reduce(3 * N + 1, STUCK_OPERATOR, N + 1, "lower", 2)
 
-    def test_auto_grow_exhausts(self):
-        with pytest.raises(IrreducibleAtThisI, match="I = 10"):
-            rational_reduce(3 * N + 1, STUCK_OPERATOR, N + 1, "lower", 2,
-                            auto_grow=True)
+    def test_order_shifts_indicial_polynomial(self, rng):
+        # one more shift of A in SP gives f_{I+1}(s) = c f_I(s - deg A): the
+        # parked degrees rise by deg A, as the degree of p * SP does
+        checked = 0
+        while checked < 60:
+            side = rng.choice(("lower", "upper"))
+            op = rand_operator(rng, max_order=3, max_deg=2)
+            factor = rand_polynomial(rng, 2, 3, nonzero=True)
+            if factor.degree < 1:
+                continue
+            home = 0 if side == "lower" else op.order
+            coeffs = list(op.coeffs)
+            coeffs[home] = factor * rand_polynomial(rng, 1, 3, nonzero=True)
+            op = ShiftOperator(coeffs)
+            build = build_L1_lower if side == "lower" else build_L1_upper
+            order = op.order + rng.randint(0, 2)
+            f_here = degree_profile(build(op, factor, order)).f_poly
+            f_next = degree_profile(build(op, factor, order + 1)).f_poly
+            c = f_next.leading_coefficient / f_here.leading_coefficient
+            assert f_next == c * f_here.shift(-int(factor.degree))
+            checked += 1
+
+    @pytest.mark.parametrize("op, p, factor, side, order", IRREDUCIBLE_CASES,
+                             ids=["stuck", "lower-deg2", "upper-deg1", "upper-order3"])
+    def test_irreducible_at_every_larger_order(self, op, p, factor, side, order):
+        # so a larger I never turns the error into a result
+        degrees = []
+        for i_order in range(order, order + 9):
+            with pytest.raises(IrreducibleAtThisI, match=f"at I = {i_order}$") as err:
+                rational_reduce(p, op, factor, side, i_order)
+            degrees.append(int(re.search(r"remainder degree (\d+)", str(err.value))[1]))
+        step = int(factor.degree)
+        assert degrees == list(range(degrees[0], degrees[0] + 9 * step, step))
 
     @pytest.mark.parametrize("side, factor", [("lower", (N + 1) ** 2),
                                               ("upper", (N + 2) ** 2)])
-    @pytest.mark.parametrize("order, auto_grow", [(2, False), (3, False), (4, False),
-                                                  (2, True)])
-    def test_one_shift_product_per_reduction(self, side, factor, order, auto_grow):
+    # ids as they read when the test also took a retry flag
+    @pytest.mark.parametrize("order", [2, 3, 4], ids=["2-False", "3-False", "4-False"])
+    def test_one_shift_product_per_reduction(self, side, factor, order):
         # the denominator is the spec's one expansion, and the derived
         # operator the public builder's
-        rr = rational_reduce(3 * N + 1, DOMB_NEG32N_OPERATOR, factor, side, order,
-                             auto_grow=auto_grow)
+        rr = rational_reduce(3 * N + 1, DOMB_NEG32N_OPERATOR, factor, side, order)
         build = build_L1_lower if side == "lower" else build_L1_upper
         assert rr.denominator == sp_expand(rr.denom_spec)
         assert rr.derived_operator == build(DOMB_NEG32N_OPERATOR, factor,
